@@ -84,16 +84,17 @@ fleet-chaos:
 		tests/server/test_client_retry.py -q
 
 # Core fast-path speedups vs the retained literal baselines, plus the
-# large-tier bitset-vs-object comparison; writes BENCH_core.json and
+# large tier: the bitset-core checkers vs the object-path comparator
+# kept in benchmarks/object_checkers.py; writes BENCH_core.json and
 # fails on regression vs the committed numbers.  QUICK=1 runs the
 # smallest workload per tier only (CI smoke).
 perf:
 	PYTHONPATH=src python benchmarks/bench_core_fastpaths.py $(if $(QUICK),--quick)
 
-# Large tier only (10^4-10^5 facts, columnar bitset backend vs the
-# object backend on the same checkers); merges its entries into
-# BENCH_core.json without touching the fast-path tier, and fails when
-# the bitset geomean speedup drops below 3x.
+# Large tier only (10^4-10^5 facts, the bitset-core checkers vs the
+# object-path comparator in benchmarks/object_checkers.py); merges its
+# entries into BENCH_core.json without touching the fast-path tier, and
+# fails when the bitset geomean speedup drops below 3x.
 perf-large:
 	PYTHONPATH=src python benchmarks/bench_core_fastpaths.py --tier large $(if $(QUICK),--quick)
 

@@ -21,11 +21,12 @@ production.  Results land in ``BENCH_core.json`` as a machine-readable
 trajectory point (per-checker latency, speedup, instance sizes,
 geometric means).
 
-A second **large tier** (10^4–10^5 facts) compares the columnar bitset
-backend against the object backend on the *same* optimized checkers
-(``backend="bitset"`` vs ``backend="object"``, DESIGN.md §13), gated
-by ``--min-large-geomean`` (default 3x).  Every entry records its
-``tier``, both backend names, and — for bitset entries — the one-off
+A second **large tier** (10^4–10^5 facts) compares the checkers, which
+run on the columnar bitset core, against the former object-path
+checkers kept as a benchmark-only comparator in
+``benchmarks/object_checkers.py`` (DESIGN.md §13), gated by
+``--min-large-geomean`` (default 3x).  Every entry records its
+``tier``, both execution names, and — for bitset entries — the one-off
 interning/layout-compilation time separately from the steady-state
 per-check latency it amortizes into.  Entries are merged into the
 committed ``BENCH_core.json`` by key, so ``make perf-large`` refreshes
@@ -80,6 +81,12 @@ from repro.workloads.generators import (  # noqa: E402
     random_instance_with_conflicts,
 )
 from repro.workloads.priorities import random_conflict_priority  # noqa: E402
+
+from object_checkers import (  # noqa: E402
+    check_pareto_optimal_object,
+    check_single_fd_object,
+    check_two_keys_object,
+)
 
 DENSITY = 0.7
 SEED = 7
@@ -153,11 +160,9 @@ def workload_single_fd_large(size, n_candidates):
     schema = Schema.single_relation(["1 -> 2"], arity=2)
     fd = equivalent_single_fd(schema.fds_for("R"))
     prioritizing, candidates = make_input(schema, size, n_candidates)
-    optimized = lambda c: check_single_fd(  # noqa: E731
-        prioritizing, c, fd, backend="bitset"
-    )
-    baseline = lambda c: check_single_fd(  # noqa: E731
-        prioritizing, c, fd, backend="object"
+    optimized = lambda c: check_single_fd(prioritizing, c, fd)  # noqa: E731
+    baseline = lambda c: check_single_fd_object(  # noqa: E731
+        prioritizing, c, fd
     )
     return prioritizing, candidates, optimized, baseline
 
@@ -167,10 +172,10 @@ def workload_two_keys_large(size, n_candidates):
     key1, key2 = equivalent_two_keys(schema.fds_for("R"))
     prioritizing, candidates = make_input(schema, size, n_candidates)
     optimized = lambda c: check_two_keys(  # noqa: E731
-        prioritizing, c, key1, key2, backend="bitset"
+        prioritizing, c, key1, key2
     )
-    baseline = lambda c: check_two_keys(  # noqa: E731
-        prioritizing, c, key1, key2, backend="object"
+    baseline = lambda c: check_two_keys_object(  # noqa: E731
+        prioritizing, c, key1, key2
     )
     return prioritizing, candidates, optimized, baseline
 
@@ -178,11 +183,9 @@ def workload_two_keys_large(size, n_candidates):
 def workload_pareto_large(size, n_candidates):
     schema = Schema.single_relation(["1 -> 2"], arity=3)
     prioritizing, candidates = make_input(schema, size, n_candidates)
-    optimized = lambda c: check_pareto_optimal(  # noqa: E731
-        prioritizing, c, backend="bitset"
-    )
-    baseline = lambda c: check_pareto_optimal(  # noqa: E731
-        prioritizing, c, backend="object"
+    optimized = lambda c: check_pareto_optimal(prioritizing, c)  # noqa: E731
+    baseline = lambda c: check_pareto_optimal_object(  # noqa: E731
+        prioritizing, c
     )
     return prioritizing, candidates, optimized, baseline
 
@@ -236,7 +239,7 @@ def run_entry(
     return {
         "checker": checker,
         "tier": tier,
-        "backend_optimized": "bitset" if tier == "large" else "object",
+        "backend_optimized": "bitset",
         "backend_baseline": (
             "object" if tier == "large" else "object-fresh"
         ),

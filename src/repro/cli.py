@@ -347,7 +347,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 max_pool_restarts=args.max_pool_restarts,
                 breaker_threshold=args.breaker_threshold,
                 breaker_reset_seconds=args.breaker_reset,
-                core_backend=args.core_backend,
             ),
             runner=runner,
             result_sink=journal.append if journal is not None else None,
@@ -420,7 +419,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
             default_node_budget=args.budget,
             breaker_threshold=args.breaker_threshold,
             breaker_reset_seconds=args.breaker_reset,
-            core_backend=args.core_backend,
             worker_chaos=args.chaos,
             store=args.store,
             fault_plan=plan,
@@ -491,7 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 default_node_budget=args.budget,
                 breaker_threshold=args.breaker_threshold,
                 breaker_reset_seconds=args.breaker_reset,
-                core_backend=args.core_backend,
             ),
             runner=runner,
             result_sink=journal.append if journal is not None else None,
@@ -997,14 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="seconds an open circuit waits before a half-open probe",
     )
-    serve.add_argument(
-        "--core-backend",
-        choices=["object", "bitset", "auto"],
-        default=None,
-        help="core execution substrate for check jobs (default: the "
-        "REPRO_CORE_BACKEND env var, then auto by instance size); "
-        "verdicts and cache keys are backend-invariant",
-    )
     serve.set_defaults(handler=_cmd_serve_batch)
 
     daemon = subparsers.add_parser(
@@ -1113,14 +1102,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         help="seconds an open circuit waits before a half-open probe",
-    )
-    daemon.add_argument(
-        "--core-backend",
-        choices=["object", "bitset", "auto"],
-        default=None,
-        help="core execution substrate for checks (default: the "
-        "REPRO_CORE_BACKEND env var, then auto by instance size); "
-        "verdicts and cache keys are backend-invariant",
     )
     daemon.set_defaults(handler=_cmd_serve)
 

@@ -16,17 +16,11 @@ Submodules
     The repair-checking algorithms (Sections 3, 4, and 7).
 ``classification``
     The dichotomy classifiers (Theorems 3.1/6.1 and 7.1/7.6).
-``backend``, ``interning``, ``bitset_index``
-    The columnar bitset execution backend: backend selection, dense
-    fact ids, and the id-space conflict/block/priority substrate.
+``interning``, ``bitset_index``
+    The columnar execution core of the checkers: dense fact ids and
+    the id-space conflict/block/priority substrate.
 """
 
-from repro.core.backend import (
-    BACKEND_AUTO,
-    BACKEND_BITSET,
-    BACKEND_OBJECT,
-    resolve_backend,
-)
 from repro.core.bitset_index import BitsetConflictIndex, BitsetCore
 from repro.core.fact import Fact
 from repro.core.fd import FD
@@ -50,8 +44,4 @@ __all__ = [
     "FactInterner",
     "BitsetConflictIndex",
     "BitsetCore",
-    "BACKEND_AUTO",
-    "BACKEND_BITSET",
-    "BACKEND_OBJECT",
-    "resolve_backend",
 ]

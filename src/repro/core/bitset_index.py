@@ -1,7 +1,8 @@
-"""The columnar bitset backend: conflicts, blocks, and priorities in id space.
+"""The columnar bitset core: conflicts, blocks, and priorities in id space.
 
-This module is the data substrate of the ``bitset`` core backend
-(:mod:`repro.core.backend`).  Facts are interned to dense integer ids
+This module is the data substrate every tractable checker, the Pareto
+and completion checks, and the improvement search run on.  Facts are
+interned to dense integer ids
 (:class:`~repro.core.interning.FactInterner`); every per-fact attribute
 becomes a flat list indexed by id, and every fact *set* becomes a stdlib
 ``int`` bitmask, so the set algebra the checkers run per candidate —
@@ -29,7 +30,7 @@ by one small mask per group (its *kept* facts) plus the kept block index
 — exactly what :class:`BitsetCandidate` extracts in one O(|J|) pass.
 
 :class:`BitsetConflictIndex` exposes the same query surface as the
-object backend's :class:`~repro.core.conflicts.ConflictIndex`
+object :class:`~repro.core.conflicts.ConflictIndex`
 (``is_consistent_subset``, ``conflicts_of_in``,
 ``conflicts_with_anything_in``, ``adjacency``, ...), answered from the
 layouts.  :class:`BitsetPriority` compiles the priority relation to
@@ -39,9 +40,9 @@ global per-fact masks for the improvement search.  :class:`BitsetCore`
 bundles the three and is cached on
 :attr:`~repro.core.priority.PrioritizingInstance.bitset_core`.
 
-The oracle conformance suite drives both backends through identical
-generated cases and requires identical verdicts; the object checkers
-remain the correctness reference.
+The oracle conformance suite holds every checker built on this core to
+the definitional oracle (:mod:`repro.testing.oracle`), and the retained
+``*_literal`` checkers give a second, independent reference.
 """
 
 from __future__ import annotations
@@ -580,7 +581,7 @@ class BitsetCore:
 
     Cached on :attr:`PrioritizingInstance.bitset_core
     <repro.core.priority.PrioritizingInstance.bitset_core>`; every
-    bitset-backend check of that instance shares the interner, the
+    check of that instance shares the interner, the
     block-partition layouts, and the compiled priority.
     """
 

@@ -12,7 +12,7 @@ are exactly the possible outputs of the *greedy* procedure that
 repeatedly picks a remaining fact not dominated by any remaining fact
 under the orientations **every** completion must contain — the raw
 ≻-edges plus the conflicting pairs whose orientation acyclicity forces
-transitively (see :func:`_forced_dominators`) — commits it, and discards
+transitively (see :func:`_forced_dominator_masks`) — commits it, and discards
 the facts conflicting with it.  This module implements:
 
 * :func:`check_completion_optimal` — the polynomial test, by a forced
@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.core.backend import BACKEND_BITSET, resolve_backend
 from repro.core.checking.brute_force import check_globally_optimal_brute_force
 from repro.core.checking.result import CheckResult
 from repro.core.checking.validation import precheck, precheck_bitset
@@ -56,10 +55,8 @@ __all__ = [
 _METHOD = "greedy-simulation"
 
 
-def _forced_dominators(
-    prioritizing: PrioritizingInstance,
-) -> "dict[Fact, FrozenSet[Fact]]":
-    """For each fact, the facts every completion must prefer to it.
+def _forced_dominator_masks(prioritizing: PrioritizingInstance) -> List[int]:
+    """Per fact id, the mask of facts every completion must prefer to it.
 
     A completion ``≻'`` orients every conflicting pair while keeping the
     whole relation acyclic.  If ``g ≻⁺ f`` (a directed ≻-path, possibly
@@ -69,43 +66,15 @@ def _forced_dominators(
     connecting ≻-path can be oriented either way.  Raw edges alone miss
     the transitively forced orientations, which is exactly the trap the
     oracle conformance suite caught: domination during the greedy must
-    use these forced dominators, not just ``priority.improvers_of``.
+    use these forced dominators, not just the raw improvers.
 
     Non-conflicting closure ancestors do *not* dominate: completions
     only add edges between conflicting facts, so they never become
     direct ≻'-edges.
-    """
-    adjacency: "dict[Fact, Set[Fact]]" = {}
-    for better, worse in prioritizing.priority.edges:
-        adjacency.setdefault(better, set()).add(worse)
-    conflicts = prioritizing.conflict_index.adjacency()
-    dominators: "dict[Fact, Set[Fact]]" = {
-        fact: set() for fact in prioritizing.instance.facts
-    }
-    for ancestor in adjacency:
-        # Forward DFS: every fact reachable from `ancestor` along ≻
-        # edges that also conflicts with it is forced below it.
-        stack = list(adjacency[ancestor])
-        seen: Set[Fact] = set()
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in conflicts[ancestor]:
-                dominators[node].add(ancestor)
-            stack.extend(adjacency.get(node, ()))
-    return {fact: frozenset(doms) for fact, doms in dominators.items()}
 
-
-def _forced_dominators_bitset(prioritizing: PrioritizingInstance) -> List[int]:
-    """:func:`_forced_dominators` in id space: one mask per fact id.
-
-    Same forced-orientation argument, run over the interned ids: per
-    priority ancestor, a forward DFS over the successor lists collects
-    the ≻-reachable set as a mask, and one ``&`` with the ancestor's
-    global conflict mask selects the facts whose orientation acyclicity
-    forces below it.
+    Per priority ancestor, a forward DFS over the interned successor
+    lists collects the ≻-reachable set as a mask, and one ``&`` with the
+    ancestor's global conflict mask selects the facts forced below it.
     """
     core = prioritizing.bitset_core
     n = len(core.interner)
@@ -131,15 +100,47 @@ def _forced_dominators_bitset(prioritizing: PrioritizingInstance) -> List[int]:
     return dominators
 
 
-def _check_completion_optimal_bitset(
-    prioritizing: PrioritizingInstance, candidate: Instance
-) -> CheckResult:
-    """The greedy simulation of :func:`check_completion_optimal` on masks.
+def _reject_ccp(prioritizing: PrioritizingInstance) -> None:
+    if prioritizing.is_ccp:
+        raise InvalidPriorityError(
+            "completion-optimal semantics is defined for classical "
+            "(conflict-only) priorities; got a ccp-instance"
+        )
 
-    ``remaining`` is one global bitmask; a commit clears the picked bit
-    and its conflict-mask neighbours in a single ``&=``, and eligibility
-    is ``dominators[fid] & remaining == 0``.
+
+def check_completion_optimal(
+    prioritizing: PrioritizingInstance,
+    candidate: Instance,
+) -> CheckResult:
+    """Decide whether ``candidate`` is a completion-optimal repair.
+
+    Polynomial for every schema: simulates the greedy procedure, at each
+    step committing an arbitrary eligible fact of ``candidate``
+    (eligible = not dominated by any remaining *forced dominator*, see
+    :func:`_forced_dominator_masks` — raw ≻-edges plus the orientations
+    that acyclicity forces transitively).  The simulation is complete
+    because eligibility is monotone under commits: the blocking set only
+    ever shrinks as facts leave ``remaining``, and committing a
+    ``candidate``-fact removes only its conflict neighbours, none of
+    which belong to the conflict-free ``candidate``.
+
+    ``remaining`` is one bitmask over the interned fact ids; a commit
+    clears the picked bit and its conflict-mask neighbours in a single
+    ``&=``, and eligibility is ``dominators[fid] & remaining == 0``.
+
+    Examples
+    --------
+    >>> from repro.core import Schema, Fact, PriorityRelation
+    >>> from repro.core import PrioritizingInstance
+    >>> schema = Schema.single_relation(["1 -> 2"], arity=2)
+    >>> f, g = Fact("R", (1, "a")), Fact("R", (1, "b"))
+    >>> pri = PrioritizingInstance(
+    ...     schema, schema.instance([f, g]), PriorityRelation([(f, g)])
+    ... )
+    >>> bool(check_completion_optimal(pri, schema.instance([g])))
+    False
     """
+    _reject_ccp(prioritizing)
     failure, view = precheck_bitset(
         prioritizing, candidate, "completion", _METHOD
     )
@@ -147,7 +148,7 @@ def _check_completion_optimal_bitset(
         return failure
     core = prioritizing.bitset_core
     conflict_masks = core.index.conflict_masks()
-    dominators = _forced_dominators_bitset(prioritizing)
+    dominators = _forced_dominator_masks(prioritizing)
     fact_of = core.interner.fact_of
     remaining = core.interner.full_mask
     to_pick: List[int] = list(view.fids)
@@ -171,80 +172,6 @@ def _check_completion_optimal_bitset(
             )
         to_pick.remove(pick)
         remaining &= ~((1 << pick) | conflict_masks[pick])
-    return CheckResult(is_optimal=True, semantics="completion", method=_METHOD)
-
-
-def _reject_ccp(prioritizing: PrioritizingInstance) -> None:
-    if prioritizing.is_ccp:
-        raise InvalidPriorityError(
-            "completion-optimal semantics is defined for classical "
-            "(conflict-only) priorities; got a ccp-instance"
-        )
-
-
-def check_completion_optimal(
-    prioritizing: PrioritizingInstance,
-    candidate: Instance,
-    backend: Optional[str] = None,
-) -> CheckResult:
-    """Decide whether ``candidate`` is a completion-optimal repair.
-
-    Polynomial for every schema: simulates the greedy procedure, at each
-    step committing an arbitrary eligible fact of ``candidate``
-    (eligible = not dominated by any remaining *forced dominator*, see
-    :func:`_forced_dominators` — raw ≻-edges plus the orientations that
-    acyclicity forces transitively).  The simulation is complete because
-    eligibility is monotone under commits: the blocking set only ever
-    shrinks as facts leave ``remaining``, and committing a
-    ``candidate``-fact removes only its conflict neighbours, none of
-    which belong to the conflict-free ``candidate``.
-
-    Examples
-    --------
-    >>> from repro.core import Schema, Fact, PriorityRelation
-    >>> from repro.core import PrioritizingInstance
-    >>> schema = Schema.single_relation(["1 -> 2"], arity=2)
-    >>> f, g = Fact("R", (1, "a")), Fact("R", (1, "b"))
-    >>> pri = PrioritizingInstance(
-    ...     schema, schema.instance([f, g]), PriorityRelation([(f, g)])
-    ... )
-    >>> bool(check_completion_optimal(pri, schema.instance([g])))
-    False
-    """
-    _reject_ccp(prioritizing)
-    if resolve_backend(len(prioritizing.instance), backend) == BACKEND_BITSET:
-        return _check_completion_optimal_bitset(prioritizing, candidate)
-    failure = precheck(prioritizing, candidate, "completion", _METHOD)
-    if failure is not None:
-        return failure
-    adjacency = prioritizing.conflict_index.adjacency()
-    dominators = _forced_dominators(prioritizing)
-    remaining: Set[Fact] = set(prioritizing.instance.facts)
-    to_pick: Set[Fact] = set(candidate.facts)
-    while to_pick:
-        pick = next(
-            (
-                fact
-                for fact in to_pick
-                if dominators[fact].isdisjoint(remaining)
-            ),
-            None,
-        )
-        if pick is None:
-            blocked = next(iter(to_pick))
-            dominator = next(iter(dominators[blocked] & remaining))
-            return CheckResult(
-                is_optimal=False,
-                semantics="completion",
-                method=_METHOD,
-                reason=(
-                    f"no greedy run yields the candidate: {blocked} stays "
-                    f"dominated by the un-discarded {dominator}"
-                ),
-            )
-        to_pick.discard(pick)
-        remaining.discard(pick)
-        remaining -= adjacency[pick]
     # With all of the candidate committed, maximality (checked by
     # precheck) guarantees every leftover fact conflicted with a commit,
     # so the greedy run ends exactly at the candidate.
@@ -255,26 +182,30 @@ def greedy_completion_repair(
     prioritizing: PrioritizingInstance,
     rng: Optional[random.Random] = None,
 ) -> Instance:
-    """One greedy run: a (randomly chosen) completion-optimal repair."""
+    """One greedy run: a (randomly chosen) completion-optimal repair.
+
+    Fact ids are assigned in ``str`` order, so drawing from the
+    ascending eligible ids is a draw from the ``str``-sorted eligible
+    facts: a given ``rng`` state picks the same repair on every run.
+    """
     _reject_ccp(prioritizing)
     rng = rng or random.Random(0)
-    adjacency = prioritizing.conflict_index.adjacency()
-    dominators = _forced_dominators(prioritizing)
-    remaining: Set[Fact] = set(prioritizing.instance.facts)
-    chosen: Set[Fact] = set()
+    core = prioritizing.bitset_core
+    conflict_masks = core.index.conflict_masks()
+    dominators = _forced_dominator_masks(prioritizing)
+    remaining = core.interner.full_mask
+    chosen = 0
     while remaining:
         eligible = [
-            fact
-            for fact in remaining
-            if dominators[fact].isdisjoint(remaining)
+            fid for fid in iter_bits(remaining)
+            if not dominators[fid] & remaining
         ]
         # An acyclic relation restricted to a non-empty finite set always
         # has a maximal element, so `eligible` is never empty.
-        pick = rng.choice(sorted(eligible, key=str))
-        chosen.add(pick)
-        remaining.discard(pick)
-        remaining -= adjacency[pick]
-    return prioritizing.instance.subinstance(chosen)
+        pick = rng.choice(eligible)
+        chosen |= 1 << pick
+        remaining &= ~((1 << pick) | conflict_masks[pick])
+    return prioritizing.instance.subinstance(core.interner.facts_of(chosen))
 
 
 def enumerate_completion_optimal_repairs(
@@ -287,31 +218,32 @@ def enumerate_completion_optimal_repairs(
     (the committed *set* determines the state, so we memoize on it).
     """
     _reject_ccp(prioritizing)
-    adjacency = prioritizing.conflict_index.adjacency()
-    dominators = _forced_dominators(prioritizing)
-    seen_states: Set[FrozenSet[Fact]] = set()
-    results: Set[FrozenSet[Fact]] = set()
+    core = prioritizing.bitset_core
+    conflict_masks = core.index.conflict_masks()
+    dominators = _forced_dominator_masks(prioritizing)
+    seen_states: Set[int] = set()
+    results: Set[int] = set()
 
-    def explore(remaining: FrozenSet[Fact], chosen: FrozenSet[Fact]) -> None:
+    def explore(remaining: int, chosen: int) -> None:
         if chosen in seen_states:
             return
         seen_states.add(chosen)
         if not remaining:
             results.add(chosen)
             return
-        eligible = [
-            fact
-            for fact in remaining
-            if dominators[fact].isdisjoint(remaining)
-        ]
-        for pick in eligible:
+        for pick in iter_bits(remaining):
+            if dominators[pick] & remaining:
+                continue
             explore(
-                remaining - {pick} - adjacency[pick], chosen | {pick}
+                remaining & ~((1 << pick) | conflict_masks[pick]),
+                chosen | 1 << pick,
             )
 
-    explore(frozenset(prioritizing.instance.facts), frozenset())
-    for facts in results:
-        yield prioritizing.instance.subinstance(facts)
+    explore(core.interner.full_mask, 0)
+    for chosen in sorted(results):
+        yield prioritizing.instance.subinstance(
+            core.interner.facts_of(chosen)
+        )
 
 
 def _orientations_of_unordered_conflicts(

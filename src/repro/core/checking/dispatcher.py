@@ -55,7 +55,6 @@ def check_globally_optimal(
     candidate: Instance,
     allow_brute_force: bool = True,
     method: str = "auto",
-    backend: Optional[str] = None,
 ) -> CheckResult:
     """Decide whether ``candidate`` is a globally-optimal repair.
 
@@ -76,11 +75,6 @@ def check_globally_optimal(
         checker for hard schemas), ``"brute-force"`` (repair
         enumeration), or ``"paranoid"`` (all-subsets search; tiny
         instances only).
-    backend:
-        The execution substrate for the tractable checkers and the
-        improvement search (``object`` | ``bitset`` | ``auto``, see
-        :mod:`repro.core.backend`); the enumeration methods and the
-        ccp specializations ignore it.
 
     Examples
     --------
@@ -118,24 +112,17 @@ def check_globally_optimal(
             check_globally_optimal_search,
         )
 
-        return check_globally_optimal_search(
-            prioritizing, candidate, backend=backend
-        )
+        return check_globally_optimal_search(prioritizing, candidate)
 
     if prioritizing.is_ccp:
-        return _dispatch_ccp(
-            prioritizing, candidate, allow_brute_force, backend
-        )
-    return _dispatch_classical(
-        prioritizing, candidate, allow_brute_force, backend
-    )
+        return _dispatch_ccp(prioritizing, candidate, allow_brute_force)
+    return _dispatch_classical(prioritizing, candidate, allow_brute_force)
 
 
 def _dispatch_classical(
     prioritizing: PrioritizingInstance,
     candidate: Instance,
     allow_brute_force: bool,
-    backend: Optional[str] = None,
 ) -> CheckResult:
     verdict = classify_schema(prioritizing.schema)
     if not verdict.is_tractable:
@@ -160,12 +147,11 @@ def _dispatch_classical(
                 restricted,
                 restricted_candidate,
                 relation_verdict.witnesses[0],
-                backend=backend,
             )
         else:
             key1, key2 = relation_verdict.witnesses
             result = check_two_keys(
-                restricted, restricted_candidate, key1, key2, backend=backend
+                restricted, restricted_candidate, key1, key2
             )
         if not result.is_optimal:
             return CheckResult(
@@ -209,7 +195,6 @@ def _dispatch_ccp(
     prioritizing: PrioritizingInstance,
     candidate: Instance,
     allow_brute_force: bool,
-    backend: Optional[str] = None,
 ) -> CheckResult:
     verdict = classify_ccp_schema(prioritizing.schema)
     if verdict.is_primary_key_assignment:
@@ -231,9 +216,7 @@ def _dispatch_ccp(
             ccp=False,
             conflict_index=prioritizing.conflict_index,
         )
-        return _dispatch_classical(
-            classical, candidate, allow_brute_force, backend
-        )
+        return _dispatch_classical(classical, candidate, allow_brute_force)
 
     if not allow_brute_force:
         raise IntractableSchemaError(

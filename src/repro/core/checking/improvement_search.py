@@ -37,12 +37,10 @@ it must be unless P = NP).
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
-from repro.core.backend import BACKEND_BITSET, resolve_backend
 from repro.core.checking.result import CheckResult
-from repro.core.checking.validation import precheck, precheck_bitset
-from repro.core.fact import Fact
+from repro.core.checking.validation import precheck_bitset
 from repro.core.instance import Instance
 from repro.core.interning import iter_bits, popcount
 from repro.core.priority import PrioritizingInstance
@@ -56,110 +54,16 @@ _METHOD = "improvement-search"
 _DEADLINE_STRIDE = 64
 
 
-class _BudgetedSearch:
-    """Node-budget and wall-clock charging shared by both searchers."""
+class _BitsetSearcher:
+    """The branch-and-propagate search over ``added`` bitmasks.
 
-    node_budget: Optional[int]
-    deadline: Optional[float]
-    nodes_explored: int
-
-    def _charge_node(self) -> None:
-        self.nodes_explored += 1
-        if (
-            self.node_budget is not None
-            and self.nodes_explored > self.node_budget
-        ):
-            raise SearchBudgetExceededError(
-                "nodes", self.nodes_explored, self.node_budget
-            )
-        if (
-            self.deadline is not None
-            and self.nodes_explored % _DEADLINE_STRIDE == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise SearchBudgetExceededError("deadline", self.nodes_explored)
-
-
-class _Searcher(_BudgetedSearch):
-    def __init__(
-        self,
-        prioritizing: PrioritizingInstance,
-        candidate: Instance,
-        node_budget: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ):
-        self.node_budget = node_budget
-        self.deadline = deadline
-        self.nodes_explored = 0
-        self.priority = prioritizing.priority
-        self.candidate_facts = candidate.facts
-        self.outsiders = prioritizing.instance.facts - candidate.facts
-        # One shared index over I answers both restricted views; nothing
-        # is rebuilt per candidate or per search.
-        index = prioritizing.conflict_index
-        # Conflicts of each outsider inside the candidate, precomputed.
-        self.evicts: Dict[Fact, FrozenSet[Fact]] = {
-            outsider: index.conflicts_of_in(outsider, self.candidate_facts)
-            for outsider in self.outsiders
-        }
-        # Conflicts among outsiders, for consistency of `added`.
-        self.outsider_conflicts: Dict[Fact, FrozenSet[Fact]] = {
-            outsider: index.conflicts_of_in(outsider, self.outsiders)
-            for outsider in self.outsiders
-        }
-        self.visited: Set[FrozenSet[Fact]] = set()
-
-    def improvers_outside(self, fact: Fact) -> FrozenSet[Fact]:
-        return self.priority.improvers_of(fact) & self.outsiders
-
-    def search(self) -> Optional[FrozenSet[Fact]]:
-        """An added-set completing to a global improvement, or None."""
-        for seed in sorted(self.outsiders, key=str):
-            result = self._extend(frozenset({seed}))
-            if result is not None:
-                return result
-        return None
-
-    def _extend(self, added: FrozenSet[Fact]) -> Optional[FrozenSet[Fact]]:
-        if added in self.visited:
-            return None
-        self.visited.add(added)
-        self._charge_node()
-        removed: Set[Fact] = set()
-        for outsider in added:
-            removed |= self.evicts[outsider]
-        pending = [
-            fact
-            for fact in removed
-            if not (self.priority.improvers_of(fact) & added)
-        ]
-        if not pending:
-            return added
-        # Branch on the improvers of one pending fact (any choice keeps
-        # completeness; picking the most constrained one prunes best).
-        target = min(
-            pending, key=lambda fact: len(self.improvers_outside(fact))
-        )
-        for improver in sorted(self.improvers_outside(target), key=str):
-            if improver in added:
-                continue
-            if self.outsider_conflicts[improver] & added:
-                continue  # would make `added` inconsistent
-            result = self._extend(added | {improver})
-            if result is not None:
-                return result
-        return None
-
-
-class _BitsetSearcher(_BudgetedSearch):
-    """The same branch-and-propagate search over ``added`` bitmasks.
-
-    State sets become masks: per-outsider evicted/conflicting masks are
-    one ``&`` against the precomputed global conflict masks, the
-    "already dominated" test is ``improvers[fid] & added``, and memoized
-    states are plain ints.  Seed and improver order follow ascending
-    ids, which is the object searcher's ``str`` order by construction of
-    the interner.
+    State sets are masks over the interned fact ids: per-outsider
+    evicted/conflicting masks are one ``&`` against the precomputed
+    global conflict masks, the "already dominated" test is
+    ``improvers[fid] & added``, and memoized states are plain ints.
+    Seeds and improvers are tried in ascending id order, which is
+    ``str`` order by construction of the interner, so the search (and
+    hence budget exhaustion) is deterministic.
     """
 
     def __init__(
@@ -188,6 +92,22 @@ class _BitsetSearcher(_BudgetedSearch):
         self.improvers: List[int] = core.priority.improvers_masks()
         self.visited: Set[int] = set()
 
+    def _charge_node(self) -> None:
+        self.nodes_explored += 1
+        if (
+            self.node_budget is not None
+            and self.nodes_explored > self.node_budget
+        ):
+            raise SearchBudgetExceededError(
+                "nodes", self.nodes_explored, self.node_budget
+            )
+        if (
+            self.deadline is not None
+            and self.nodes_explored % _DEADLINE_STRIDE == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise SearchBudgetExceededError("deadline", self.nodes_explored)
+
     def improvers_outside(self, fid: int) -> int:
         return self.improvers[fid] & self.outsiders_mask
 
@@ -214,6 +134,8 @@ class _BitsetSearcher(_BudgetedSearch):
         ]
         if not pending:
             return added
+        # Branch on the improvers of one pending fact (any choice keeps
+        # completeness; picking the most constrained one prunes best).
         target = min(
             pending, key=lambda fid: popcount(self.improvers_outside(fid))
         )
@@ -234,15 +156,13 @@ def find_global_improvement(
     candidate: Instance,
     node_budget: Optional[int] = None,
     deadline: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> Optional[Instance]:
     """A global improvement of the repair ``candidate``, or None.
 
     Assumes ``candidate`` is a repair (run
-    :func:`~repro.core.checking.validation.precheck` first, or use
-    :func:`check_globally_optimal_search`).  Complete for every schema
-    and for both classical and ccp priorities.  ``backend`` picks the
-    execution substrate (see :mod:`repro.core.backend`).
+    :func:`~repro.core.checking.validation.precheck_bitset` first, or
+    use :func:`check_globally_optimal_search`).  Complete for every
+    schema and for both classical and ccp priorities.
 
     ``node_budget`` bounds the number of search nodes expanded and
     ``deadline`` (a :func:`time.monotonic` timestamp) bounds wall-clock
@@ -250,28 +170,17 @@ def find_global_improvement(
     :class:`~repro.exceptions.SearchBudgetExceededError`.  With both
     left at None the search is unbounded (and complete).
     """
-    if resolve_backend(len(prioritizing.instance), backend) == BACKEND_BITSET:
-        bit_searcher = _BitsetSearcher(
-            prioritizing, candidate, node_budget, deadline
-        )
-        added_mask = bit_searcher.search()
-        if added_mask is None:
-            return None
-        removed_mask = 0
-        for outsider in iter_bits(added_mask):
-            removed_mask |= bit_searcher.evicts[outsider]
-        interner = bit_searcher.core.interner
-        return candidate.replace_facts(
-            interner.facts_of(removed_mask), interner.facts_of(added_mask)
-        )
-    searcher = _Searcher(prioritizing, candidate, node_budget, deadline)
-    added = searcher.search()
-    if added is None:
+    searcher = _BitsetSearcher(prioritizing, candidate, node_budget, deadline)
+    added_mask = searcher.search()
+    if added_mask is None:
         return None
-    removed: Set[Fact] = set()
-    for outsider in added:
-        removed |= searcher.evicts[outsider]
-    return candidate.replace_facts(removed, added)
+    removed_mask = 0
+    for outsider in iter_bits(added_mask):
+        removed_mask |= searcher.evicts[outsider]
+    interner = searcher.core.interner
+    return candidate.replace_facts(
+        interner.facts_of(removed_mask), interner.facts_of(added_mask)
+    )
 
 
 def check_globally_optimal_search(
@@ -279,7 +188,6 @@ def check_globally_optimal_search(
     candidate: Instance,
     node_budget: Optional[int] = None,
     deadline: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> CheckResult:
     """Globally-optimal repair checking via the improvement search.
 
@@ -297,15 +205,11 @@ def check_globally_optimal_search(
     deterministic function of the input and the budget (the deadline, of
     course, is not).
     """
-    resolved = resolve_backend(len(prioritizing.instance), backend)
-    if resolved == BACKEND_BITSET:
-        failure, _ = precheck_bitset(prioritizing, candidate, "global", _METHOD)
-    else:
-        failure = precheck(prioritizing, candidate, "global", _METHOD)
+    failure, _ = precheck_bitset(prioritizing, candidate, "global", _METHOD)
     if failure is not None:
         return failure
     improvement = find_global_improvement(
-        prioritizing, candidate, node_budget, deadline, backend=resolved
+        prioritizing, candidate, node_budget, deadline
     )
     if improvement is not None:
         return CheckResult(

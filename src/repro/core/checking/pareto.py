@@ -4,22 +4,14 @@ Staworko, Chomicki and Marcinkowski observed — and the paper quotes in
 Section 3 — that Pareto-optimal repair checking admits a polynomial-time
 solution for *every* schema, in both the classical and the ccp setting.
 The algorithm is the single-swap search of
-:func:`repro.core.improvements.find_pareto_improvement`.
+:func:`repro.core.improvements.find_pareto_improvement_bitset`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.backend import BACKEND_BITSET, resolve_backend
 from repro.core.checking.result import CheckResult
-from repro.core.checking.validation import (
-    precheck,
-    precheck_bitset,
-    precheck_fresh,
-)
+from repro.core.checking.validation import precheck_bitset, precheck_fresh
 from repro.core.improvements import (
-    find_pareto_improvement,
     find_pareto_improvement_bitset,
     find_pareto_improvement_fresh,
 )
@@ -34,14 +26,12 @@ _METHOD = "single-swap"
 def check_pareto_optimal(
     prioritizing: PrioritizingInstance,
     candidate: Instance,
-    backend: Optional[str] = None,
 ) -> CheckResult:
     """Decide whether ``candidate`` is a Pareto-optimal repair.
 
     Works for every schema and for both classical and ccp priorities; the
     single-swap characterization does not rely on the conflicting-facts
-    restriction.  ``backend`` picks the execution substrate (see
-    :mod:`repro.core.backend`); both backends return identical verdicts.
+    restriction.
 
     Examples
     --------
@@ -57,20 +47,10 @@ def check_pareto_optimal(
     >>> bool(check_pareto_optimal(pri, schema.instance([g])))
     False
     """
-    if resolve_backend(len(prioritizing.instance), backend) == BACKEND_BITSET:
-        failure, view = precheck_bitset(
-            prioritizing, candidate, "pareto", _METHOD
-        )
-        if failure is not None:
-            return failure
-        improvement = find_pareto_improvement_bitset(
-            prioritizing, candidate, view
-        )
-    else:
-        failure = precheck(prioritizing, candidate, "pareto", _METHOD)
-        if failure is not None:
-            return failure
-        improvement = find_pareto_improvement(prioritizing, candidate)
+    failure, view = precheck_bitset(prioritizing, candidate, "pareto", _METHOD)
+    if failure is not None:
+        return failure
+    improvement = find_pareto_improvement_bitset(prioritizing, candidate, view)
     if improvement is not None:
         return CheckResult(
             is_optimal=False,

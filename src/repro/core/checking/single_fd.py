@@ -23,21 +23,11 @@ fidelity tests and the ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.core.backend import BACKEND_BITSET, resolve_backend
 from repro.core.checking.result import CheckResult
-from repro.core.checking.validation import (
-    precheck,
-    precheck_bitset,
-    precheck_fresh,
-)
+from repro.core.checking.validation import precheck_bitset, precheck_fresh
 from repro.core.fact import Fact
 from repro.core.fd import FD
-from repro.core.improvements import (
-    is_global_improvement,
-    is_global_improvement_sets,
-)
+from repro.core.improvements import is_global_improvement
 from repro.core.instance import Instance
 from repro.core.interning import iter_bits
 from repro.core.priority import PrioritizingInstance
@@ -72,35 +62,34 @@ def block_swap(
     return candidate.replace_facts(removed, added)
 
 
-def _blocks(
-    instance: Instance, fd: FD
-) -> Dict[Tuple, Dict[Tuple, List[Fact]]]:
-    """Group the facts of ``instance`` by (lhs-value, rhs-value)."""
-    lhs_sorted = fd.lhs_sorted
-    rhs_sorted = fd.rhs_sorted
-    grouped: Dict[Tuple, Dict[Tuple, List[Fact]]] = {}
-    for fact in instance:
-        lhs_value = fact.project(lhs_sorted)
-        rhs_value = fact.project(rhs_sorted)
-        grouped.setdefault(lhs_value, {}).setdefault(rhs_value, []).append(
-            fact
-        )
-    return grouped
-
-
-def _check_single_fd_bitset(
+def check_single_fd(
     prioritizing: PrioritizingInstance,
     candidate: Instance,
     fd: FD,
 ) -> CheckResult:
-    """The block-swap scan of Figure 2 on the bitset backend.
+    """``GRepCheck1FD`` at block granularity (Figure 2, optimized).
 
-    The block partition :func:`_blocks` rebuilds per call is exactly the
-    precompiled :class:`~repro.core.bitset_index._FDLayout` of ``fd``,
-    so the scan reduces to: per lhs-group with kept facts, per non-kept
-    rhs block, test ``added``'s improver coverage of the kept mask with
-    one ``improvers_local & added`` word-op per removed fact.  The swap
-    instance is materialized only for the block that succeeds.
+    Parameters
+    ----------
+    prioritizing:
+        The classical prioritizing instance ``(I, ≻)`` over a
+        single-relation schema.
+    candidate:
+        The subinstance ``J`` to check.
+    fd:
+        The single FD ``A → B`` that ``Δ|R`` is equivalent to (produced
+        by :func:`repro.core.classification.equivalent_single_fd`).
+
+    For each lhs-group containing candidate facts, and each rhs-value of
+    that group other than the candidate's, the corresponding block swap
+    is tested for being a global improvement.  The block partition is
+    the precompiled :class:`~repro.core.bitset_index._FDLayout` of
+    ``fd``, so the test is one ``improvers_local & added`` word-op per
+    removed fact — the facts entering a swap are always in a different
+    rhs-block than the kept one, hence outside the consistent candidate,
+    so the symmetric difference is known without building the swap
+    instance; the witness ``Instance`` is materialized only for the swap
+    that succeeds.
     """
     failure, view = precheck_bitset(prioritizing, candidate, "global", _METHOD)
     if failure is not None:
@@ -139,79 +128,6 @@ def _check_single_fd_bitset(
                 )
                 lhs_value = layout.group_lhs_values[group]
                 rhs_value = layout.group_rhs_values[group][sub]
-                return CheckResult(
-                    is_optimal=False,
-                    semantics="global",
-                    method=_METHOD,
-                    improvement=swap,
-                    reason=(
-                        f"the block swap at lhs value {lhs_value!r} to rhs "
-                        f"value {rhs_value!r} is a global improvement"
-                    ),
-                )
-    return CheckResult(is_optimal=True, semantics="global", method=_METHOD)
-
-
-def check_single_fd(
-    prioritizing: PrioritizingInstance,
-    candidate: Instance,
-    fd: FD,
-    backend: Optional[str] = None,
-) -> CheckResult:
-    """``GRepCheck1FD`` at block granularity (Figure 2, optimized).
-
-    Parameters
-    ----------
-    prioritizing:
-        The classical prioritizing instance ``(I, ≻)`` over a
-        single-relation schema.
-    candidate:
-        The subinstance ``J`` to check.
-    fd:
-        The single FD ``A → B`` that ``Δ|R`` is equivalent to (produced
-        by :func:`repro.core.classification.equivalent_single_fd`).
-    backend:
-        The execution substrate (see :mod:`repro.core.backend`); both
-        backends return identical verdicts.
-
-    For each lhs-group containing candidate facts, and each rhs-value of
-    that group other than the candidate's, the corresponding block swap
-    is tested for being a global improvement.  The test runs directly on
-    the ``(added, removed)`` fact sets of the swap — the facts entering
-    a swap are always in a different rhs-block than the kept one, hence
-    outside the consistent candidate, so the symmetric difference is
-    known without building the swap instance; the witness ``Instance``
-    is materialized only for the swap that succeeds.
-    """
-    if resolve_backend(len(prioritizing.instance), backend) == BACKEND_BITSET:
-        return _check_single_fd_bitset(prioritizing, candidate, fd)
-    failure = precheck(prioritizing, candidate, "global", _METHOD)
-    if failure is not None:
-        return failure
-    if fd.is_trivial():
-        # No conflicts are possible, so the only repair is I itself and
-        # precheck has already confirmed maximality (hence J = I).
-        return CheckResult(is_optimal=True, semantics="global", method=_METHOD)
-    instance = prioritizing.instance
-    priority = prioritizing.priority
-    candidate_facts = candidate.facts
-    for lhs_value, by_rhs in _blocks(instance, fd).items():
-        kept_blocks = [
-            (rhs_value, facts)
-            for rhs_value, facts in by_rhs.items()
-            if any(fact in candidate_facts for fact in facts)
-        ]
-        if not kept_blocks:
-            continue
-        # J is consistent, so exactly one rhs-block per lhs-group holds
-        # candidate facts.
-        (kept_rhs, kept_facts), = kept_blocks
-        removed = [fact for fact in kept_facts if fact in candidate_facts]
-        for rhs_value, added in by_rhs.items():
-            if rhs_value == kept_rhs:
-                continue
-            if is_global_improvement_sets(added, removed, priority):
-                swap = candidate.replace_facts(removed, added)
                 return CheckResult(
                     is_optimal=False,
                     semantics="global",

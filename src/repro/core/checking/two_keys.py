@@ -32,18 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.backend import BACKEND_BITSET, resolve_backend
 from repro.core.bitset_index import BitsetCandidate, BitsetCore, _FDLayout
 from repro.core.checking.result import CheckResult
-from repro.core.checking.validation import (
-    precheck,
-    precheck_bitset,
-    precheck_fresh,
-)
+from repro.core.checking.validation import precheck_bitset, precheck_fresh
 from repro.core.fact import Fact
 from repro.core.fd import FD
 from repro.core.improvements import (
-    find_pareto_improvement,
     find_pareto_improvement_bitset,
     find_pareto_improvement_fresh,
 )
@@ -236,7 +230,6 @@ def check_two_keys(
     candidate: Instance,
     key1: FD,
     key2: FD,
-    backend: Optional[str] = None,
 ) -> CheckResult:
     """``GRepCheck2Keys`` (Figure 4).
 
@@ -250,49 +243,7 @@ def check_two_keys(
     key1, key2:
         The two key constraints ``Δ|R`` is equivalent to (produced by
         :func:`repro.core.classification.equivalent_two_keys`).
-    backend:
-        The execution substrate (see :mod:`repro.core.backend`); both
-        backends return identical verdicts.
     """
-    if resolve_backend(len(prioritizing.instance), backend) == BACKEND_BITSET:
-        return _check_two_keys_bitset(prioritizing, candidate, key1, key2)
-    failure = precheck(prioritizing, candidate, "global", _METHOD)
-    if failure is not None:
-        return failure
-    pareto = find_pareto_improvement(prioritizing, candidate)
-    if pareto is not None:
-        return CheckResult(
-            is_optimal=False,
-            semantics="global",
-            method=_METHOD,
-            improvement=pareto,
-            reason="a Pareto improvement exists",
-        )
-    for first, second, label in (
-        (key1.lhs, key2.lhs, "G12"),
-        (key2.lhs, key1.lhs, "G21"),
-    ):
-        graph = build_swap_graph(prioritizing, candidate, first, second)
-        cycle = graph.find_cycle()
-        if cycle is not None:
-            improvement = graph.cycle_to_improvement(cycle, candidate)
-            return CheckResult(
-                is_optimal=False,
-                semantics="global",
-                method=_METHOD,
-                improvement=improvement,
-                reason=f"the swap graph {label} has a cycle (Lemma 4.4)",
-            )
-    return CheckResult(is_optimal=True, semantics="global", method=_METHOD)
-
-
-def _check_two_keys_bitset(
-    prioritizing: PrioritizingInstance,
-    candidate: Instance,
-    key1: FD,
-    key2: FD,
-) -> CheckResult:
-    """``GRepCheck2Keys`` on the bitset backend (same three steps)."""
     failure, view = precheck_bitset(prioritizing, candidate, "global", _METHOD)
     if failure is not None:
         return failure

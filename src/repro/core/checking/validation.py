@@ -88,7 +88,7 @@ def precheck_bitset(
     semantics: str,
     method: str,
 ) -> Tuple[Optional[CheckResult], BitsetCandidate]:
-    """The pre-checks of :func:`precheck`, run on the bitset backend.
+    """The pre-checks of :func:`precheck`, run on the bitset core.
 
     Returns ``(result, view)``: the same verdicts and reason strings as
     :func:`precheck` (None when the candidate is a repair), plus the

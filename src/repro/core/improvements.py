@@ -13,15 +13,15 @@ subinstance is a globally-optimal (resp. Pareto-optimal) repair iff it has
 no global (resp. Pareto) improvement.
 
 Both conditions depend only on the symmetric difference ``(added,
-removed)`` between the two subinstances, so the module exposes them in
-two forms: the :class:`Instance`-level predicates of Definition 2.4 and
-the set-level :func:`is_global_improvement_sets` /
-:func:`is_pareto_improvement_sets` the checkers use to evaluate
-candidate swaps *without materializing a witness instance* — the full
-``Instance`` is only built for the swap that actually succeeds.
+removed)`` between the two subinstances, so the Pareto condition is
+also exposed in set-level form, :func:`is_pareto_improvement_sets`,
+which evaluates a candidate swap *without materializing a witness
+instance*.
 
 The module also implements the key polynomial-time subroutine shared by
-all the tractable checkers: :func:`find_pareto_improvement`, based on the
+all the tractable checkers: the single-swap Pareto search
+(:func:`find_pareto_improvement_bitset` on the checkers' bitset core,
+:func:`find_pareto_improvement` over the object index), based on the
 *single-swap characterization* — if any Pareto improvement exists, then
 one of the form ``(J \\ C_g) ∪ {g}`` exists, where ``g ∈ I \\ J`` and
 ``C_g`` is the set of facts of ``J`` conflicting with ``g``.
@@ -29,7 +29,7 @@ one of the form ``(J \\ C_g) ∪ {g}`` exists, where ``g ∈ I \\ J`` and
 
 from __future__ import annotations
 
-from typing import AbstractSet, Collection, Optional, Set
+from typing import AbstractSet, Optional, Set
 
 from repro.core.bitset_index import BitsetCandidate
 from repro.core.conflicts import ConflictIndex
@@ -40,7 +40,6 @@ from repro.core.priority import PrioritizingInstance, PriorityRelation
 
 __all__ = [
     "is_global_improvement",
-    "is_global_improvement_sets",
     "is_pareto_improvement",
     "is_pareto_improvement_sets",
     "find_pareto_improvement",
@@ -48,27 +47,6 @@ __all__ = [
     "find_pareto_improvement_fresh",
     "has_pareto_improvement",
 ]
-
-
-def is_global_improvement_sets(
-    added: Collection[Fact],
-    removed: Collection[Fact],
-    priority: PriorityRelation,
-) -> bool:
-    """The global-improvement condition on a symmetric difference.
-
-    ``added`` is ``J' \\ J`` and ``removed`` is ``J \\ J'`` for a
-    candidate ``J' = (J \\ removed) ∪ added``; both must be disjoint
-    from each other for the test to mean what Definition 2.4 says.
-    This is the allocation-free form the checkers evaluate per probed
-    swap, materializing an :class:`Instance` only on success.
-    """
-    if not added and not removed:
-        return False  # J' = J is never an improvement
-    for lost in removed:
-        if priority.improvers_of(lost).isdisjoint(added):
-            return False
-    return True
 
 
 def is_global_improvement(
@@ -87,7 +65,11 @@ def is_global_improvement(
     """
     added = candidate.facts - current.facts
     removed = current.facts - candidate.facts
-    return is_global_improvement_sets(added, removed, priority)
+    if not added and not removed:
+        return False  # J' = J is never an improvement
+    return all(
+        not priority.improvers_of(lost).isdisjoint(added) for lost in removed
+    )
 
 
 def is_pareto_improvement_sets(
@@ -171,7 +153,7 @@ def find_pareto_improvement_bitset(
     repair_candidate: Instance,
     view: BitsetCandidate,
 ) -> Optional[Instance]:
-    """The single-swap Pareto search on the bitset backend.
+    """The single-swap Pareto search on the bitset core.
 
     Same characterization as :func:`find_pareto_improvement`, evaluated
     group-locally: a consistent candidate keeps at most one rhs block

@@ -1,6 +1,6 @@
 """Dense integer ids for the facts of one instance.
 
-The columnar bitset backend (:mod:`repro.core.bitset_index`) represents
+The columnar bitset core (:mod:`repro.core.bitset_index`) represents
 every fact set as a stdlib ``int`` bitmask and every per-fact attribute
 as a flat list indexed by fact id.  :class:`FactInterner` is the bridge:
 it assigns each fact of an :class:`~repro.core.instance.Instance` a
@@ -12,7 +12,7 @@ deterministic iteration (``sorted(..., key=str)``), so ids — and hence
 every mask and every id-ordered scan — are reproducible across runs,
 processes, and ``PYTHONHASHSEED`` values.
 
-Bit-twiddling helpers shared by the backend live here too:
+Bit-twiddling helpers shared by the core live here too:
 :func:`iter_bits` walks the set bits of a mask lowest-first via
 ``mask & -mask`` extraction, and :func:`popcount` counts them (through
 ``bin(...)``, which keeps the module Python-3.9-compatible — CPython's
@@ -78,8 +78,8 @@ class FactInterner:
         the redundant O(n log n) pass (and the intermediate list) keeps
         chunked interner construction single-scan.  Callers must
         guarantee the order — the ids assigned here must equal the ones
-        ``FactInterner(instance)`` would assign, and every bitset-
-        backend mask depends on that.
+        ``FactInterner(instance)`` would assign, and every bitset
+        mask depends on that.
         """
         interner = cls.__new__(cls)
         interner._facts = tuple(facts)

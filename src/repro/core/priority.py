@@ -359,12 +359,12 @@ class PrioritizingInstance:
 
     @property
     def bitset_core(self) -> "BitsetCore":
-        """The columnar substrate of the bitset backend, cached.
+        """The columnar substrate the checkers run on, cached.
 
         Lazily interns the instance's facts and compiles the per-FD
         block partitions and the priority to id space
         (:class:`~repro.core.bitset_index.BitsetCore`); built on the
-        first bitset-backend check of this instance and shared by all
+        first check of this instance and shared by all
         subsequent ones.
         """
         core = self._bitset_core

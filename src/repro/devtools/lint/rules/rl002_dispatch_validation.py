@@ -12,8 +12,10 @@ The rule checks every public module-level ``check_*`` function in
 ``src/repro/core/checking/`` that takes a ``candidate`` parameter and
 requires its body to validate before use, by any of the accepted means:
 
-* calling :func:`repro.core.checking.validation.precheck` (or the
-  retained ``precheck_fresh`` baseline),
+* calling :func:`repro.core.checking.validation.precheck`, its
+  bitset-core twin ``precheck_bitset`` (which raises the same
+  ``NotASubinstanceError`` on stray facts), or the retained
+  ``precheck_fresh`` baseline,
 * raising ``NotASubinstanceError`` itself,
 * calling ``.subinstance(...)`` (which validates membership), or
 * delegating to another ``check_*`` entry point (which then validates).
@@ -30,7 +32,9 @@ from repro.devtools.lint.registry import Rule, register
 
 __all__ = ["DispatchValidationRule"]
 
-_VALIDATOR_CALLS = frozenset({"precheck", "precheck_fresh", "subinstance"})
+_VALIDATOR_CALLS = frozenset(
+    {"precheck", "precheck_bitset", "precheck_fresh", "subinstance"}
+)
 
 
 def _validates(func: ast.FunctionDef) -> bool:

@@ -1,6 +1,6 @@
 """RL009 — checkers use the carried conflict index, not raw adjacency.
 
-The columnar backend work (DESIGN.md §13) made conflict adjacency a
+The columnar core work (DESIGN.md §13) made conflict adjacency a
 *carried* artifact: a :class:`~repro.core.priority.PrioritizingInstance`
 caches both the object :class:`~repro.core.conflicts.ConflictIndex` and
 the :class:`~repro.core.bitset_index.BitsetCore`, so every checker that
@@ -9,9 +9,14 @@ nevertheless rebuilds adjacency from scratch — constructing a fresh
 index, calling a one-shot ``repro.core.conflicts`` convenience wrapper,
 or hand-rolling per-fact ``frozenset`` neighbour sets out of raw
 ``fd.is_conflict`` pair tests — silently restores the quadratic scans
-the fast paths removed, and (worse) bypasses the backend selector, so
-the ``object``/``bitset`` equivalence contract no longer covers the
-adjacency it computes.
+the fast paths removed.
+
+There is no execution selector for the rule to protect any more (the
+tractable checkers, the Pareto and completion checks, and the
+improvement search run on the bitset core only).  The rule stays
+active because the ccp checkers, the brute-force checkers, and the
+retained ``*_fresh``/``*_literal`` baselines still receive a carrier,
+and a rebuilt index there is the same regression.
 
 The rule checks every function in ``src/repro/core/checking/`` that
 receives an index carrier (a parameter named ``prioritizing``,
@@ -76,10 +81,9 @@ class IndexBackedAdjacencyRule(Rule):
         "is_conflict pair loop)"
     )
     rationale = (
-        "PrioritizingInstance caches both conflict-index backends; a "
-        "checker that reconstructs adjacency restores the quadratic "
-        "scans the columnar backend removed and computes adjacency the "
-        "object/bitset equivalence tests never see."
+        "PrioritizingInstance caches both conflict indexes; a checker "
+        "that reconstructs adjacency restores the quadratic scans the "
+        "shared indexes removed."
     )
     scopes = ("src/repro/core/checking/",)
 

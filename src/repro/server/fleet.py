@@ -122,7 +122,7 @@ class FleetConfig:
         Fleet size (>= 1; the CLI uses 1 to mean "no fleet at all").
     max_inflight / queue_limit / cache_size / default_timeout /
     default_node_budget / breaker_threshold / breaker_reset_seconds /
-    core_backend / worker_chaos:
+    worker_chaos:
         Forwarded verbatim to each worker's ``repro serve`` argv.
     share_store / store:
         Open one WAL-mode sqlite result store — at ``store`` when
@@ -164,7 +164,6 @@ class FleetConfig:
     default_node_budget: Optional[int] = 100_000
     breaker_threshold: int = 5
     breaker_reset_seconds: float = 30.0
-    core_backend: Optional[str] = None
     worker_chaos: Optional[str] = None
     share_store: bool = True
     store: Optional[str] = None
@@ -449,8 +448,6 @@ class FleetSupervisor:
             argv += ["--timeout", str(self.config.default_timeout)]
         if self.config.default_node_budget is not None:
             argv += ["--budget", str(self.config.default_node_budget)]
-        if self.config.core_backend is not None:
-            argv += ["--core-backend", self.config.core_backend]
         if self.config.worker_chaos is not None:
             argv += ["--chaos", self.config.worker_chaos]
         return argv

@@ -9,7 +9,7 @@ primitives that cover the workload:
 * :class:`Gauge` — up/down levels (active connections, in-flight
   jobs), with a high-water mark so a snapshot taken after the load
   subsided still shows how busy the process got;
-* :class:`LatencyHistogram` — fixed exponential buckets over seconds,
+* :class:`LatencyHistogram` — fixed log-linear buckets over seconds,
   one histogram per deciding algorithm.  ``CheckResult.method`` already
   names the algorithm that decided each question (``GRepCheck1FD``,
   ``GRepCheck2Keys``, the ccp checkers, ``brute-force``,
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -45,21 +46,14 @@ from repro.exceptions import UsageError
 
 __all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
 
-#: Default histogram bucket upper bounds, in seconds (exponential; the
-#: final +inf bucket is implicit).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.0001,
-    0.0005,
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    10.0,
-)
+#: Default histogram bucket upper bounds, in seconds: log-linear 1-2-5
+#: steps from 10 µs to 10 s (the final +inf bucket is implicit), so a
+#: bucket bound over-reports the values inside it by at most 2.5x.
+DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
+    float(f"{mantissa}e{exponent}")
+    for exponent in range(-5, 1)
+    for mantissa in (1, 2, 5)
+) + (10.0,)
 
 
 class Counter:
@@ -156,12 +150,7 @@ class LatencyHistogram:
     def observe(self, seconds: float) -> None:
         """Record one latency observation."""
         with self._lock:
-            position = len(self._buckets)
-            for index, bound in enumerate(self._buckets):
-                if seconds <= bound:
-                    position = index
-                    break
-            self._counts[position] += 1
+            self._counts[bisect_left(self._buckets, seconds)] += 1
             self._sum += seconds
             self._min = seconds if self._min is None else min(self._min, seconds)
             self._max = seconds if self._max is None else max(self._max, seconds)
@@ -180,21 +169,22 @@ class LatencyHistogram:
     def quantile(self, q: float) -> float:
         """An upper bound on the ``q``-quantile, from the bucket bounds.
 
-        Returns the upper bound of the bucket containing the quantile
-        (the recorded maximum for the overflow bucket).
+        Returns the upper bound of the bucket containing the quantile,
+        capped at the recorded maximum (which is also the answer for the
+        overflow bucket): no quantile exceeds the largest observation.
         """
         if not 0.0 <= q <= 1.0:
             raise UsageError(f"quantile must be in [0, 1], got {q}")
         total = self.count
-        if total == 0:
+        if total == 0 or self._max is None:
             return 0.0
         rank = q * total
         running = 0
         for index, bound in enumerate(self._buckets):
             running += self._counts[index]
             if running >= rank:
-                return bound
-        return self._max if self._max is not None else self._buckets[-1]
+                return min(bound, self._max)
+        return self._max
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-ready summary of the distribution."""

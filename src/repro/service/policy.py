@@ -123,27 +123,19 @@ def execute_check(
     method: str = "auto",
     node_budget: Optional[int] = None,
     timeout: Optional[float] = None,
-    core_backend: Optional[str] = None,
 ) -> Outcome:
     """Run one repair check under the service's degradation policy.
 
     Deterministic-by-construction outcomes (``ok``, ``degraded``,
     ``error``) depend only on the inputs and ``node_budget``; only
-    ``timeout`` depends on the wall clock.  ``core_backend`` selects the
-    core execution substrate (:mod:`repro.core.backend`) — it changes
-    constant factors, never verdicts, and is deliberately excluded from
-    job fingerprints so cache entries stay backend-invariant.
+    ``timeout`` depends on the wall clock.
     """
     deadline = time.monotonic() + timeout if timeout is not None else None
     try:
         if semantics == "pareto":
-            result = check_pareto_optimal(
-                prioritizing, candidate, backend=core_backend
-            )
+            result = check_pareto_optimal(prioritizing, candidate)
         elif semantics == "completion":
-            result = check_completion_optimal(
-                prioritizing, candidate, backend=core_backend
-            )
+            result = check_completion_optimal(prioritizing, candidate)
         elif semantics == "global":
             if method == "search" or (
                 method == "auto" and needs_degradation(prioritizing)
@@ -153,12 +145,10 @@ def execute_check(
                     candidate,
                     node_budget=node_budget,
                     deadline=deadline,
-                    backend=core_backend,
                 )
             else:
                 result = check_globally_optimal(
-                    prioritizing, candidate, method=method,
-                    backend=core_backend,
+                    prioritizing, candidate, method=method
                 )
         else:
             return Outcome(

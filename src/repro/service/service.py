@@ -48,7 +48,6 @@ that eventually lets a job complete (property-tested in
 
 from __future__ import annotations
 
-import functools
 import pickle
 import time
 from concurrent.futures import (
@@ -70,7 +69,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.backend import normalize_backend
 from repro.core.classification import classification_cache_info
 from repro.core.instance import Instance
 from repro.core.priority import PrioritizingInstance
@@ -133,17 +131,8 @@ _WELL_KNOWN_COUNTERS = (
 _PoolItem = Tuple[int, RepairJob, str, int]
 
 
-def _default_runner(
-    job: RepairJob, node_budget, timeout, *, core_backend=None
-) -> Outcome:
-    """Execute one job through the degradation policy (worker side).
-
-    ``core_backend`` is keyword-only so the runner keeps the 3-positional
-    contract (``runner_accepts_attempt`` introspects positional arity);
-    a :func:`functools.partial` of this function binds it when the
-    service config pins a backend, and stays picklable for the process
-    executor.
-    """
+def _default_runner(job: RepairJob, node_budget, timeout) -> Outcome:
+    """Execute one job through the degradation policy (worker side)."""
     return execute_check(
         job.prioritizing,
         job.candidate,
@@ -151,7 +140,6 @@ def _default_runner(
         method=job.method,
         node_budget=node_budget,
         timeout=timeout,
-        core_backend=core_backend,
     )
 
 
@@ -223,14 +211,6 @@ class ServiceConfig:
     breaker_reset_seconds:
         How long an open circuit waits before admitting one half-open
         probe.
-    core_backend:
-        Core execution substrate for check jobs (``object`` | ``bitset``
-        | ``auto``; see :mod:`repro.core.backend`).  None (the default)
-        defers to the ``REPRO_CORE_BACKEND`` environment variable —
-        which worker threads and spawned process pools inherit — and
-        then to the auto size threshold.  Backends decide identically,
-        so this knob never enters job fingerprints: cached results are
-        shared across backends.
     """
 
     workers: int = 1
@@ -245,15 +225,8 @@ class ServiceConfig:
     max_pool_restarts: int = 2
     breaker_threshold: int = 5
     breaker_reset_seconds: float = 30.0
-    core_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.core_backend is not None:
-            # Validate (and canonicalize) eagerly so a typo fails at
-            # service construction, not inside a worker.
-            object.__setattr__(
-                self, "core_backend", normalize_backend(self.core_backend)
-            )
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         if self.executor not in ("serial", "thread", "process"):
@@ -308,7 +281,7 @@ class RepairService:
         warms the LRU and is served without recomputation
         (``store.hits``).  Freshly computed deterministic results are
         written through (``store.appended``).  Because store keys are
-        the same backend-invariant canonical fingerprints as cache
+        the same canonical fingerprints as cache
         keys, a store file shared by many service processes — the
         fleet's workers — shares every answer across them and across
         restarts.  Store failures degrade the cache, never a verdict.
@@ -354,15 +327,7 @@ class RepairService:
         self.cache = cache if cache is not None else LRUCache(
             self.config.cache_size
         )
-        default_runner: Callable[..., Outcome] = _default_runner
-        if self.config.core_backend is not None:
-            # A partial of the module-level function: still 3 positional
-            # params for runner_accepts_attempt, still picklable for the
-            # process executor, so the pinned backend reaches workers.
-            default_runner = functools.partial(
-                _default_runner, core_backend=self.config.core_backend
-            )
-        self._runner = runner or default_runner
+        self._runner = runner or _default_runner
         self._compute_runner = compute_runner or _default_compute_runner
         self._runner_takes_attempt = runner_accepts_attempt(self._runner)
         self._sleep = sleep

@@ -5,7 +5,7 @@ deployment restarts workers routinely (crashes, rolling restarts,
 breaker-driven kills), and every restart would otherwise re-pay every
 hard-side search the worker had already answered.  :class:`SqliteStore`
 is the durable tier *under* the LRU: results keyed by the same
-backend-invariant canonical request fingerprints
+canonical request fingerprints
 (:mod:`repro.service.fingerprint`), stored in one sqlite file that any
 number of worker processes share.
 

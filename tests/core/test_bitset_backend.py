@@ -1,9 +1,8 @@
-"""Unit tests for the columnar bitset backend.
+"""Unit tests for the columnar bitset core.
 
 The interner's id assignment and mask conversions, the
 ``BitsetConflictIndex``'s parity with the object ``ConflictIndex`` on
-every shared query, the compiled priority masks, the candidate views,
-and the backend selector's override/env/threshold precedence.
+every shared query, the compiled priority masks, and the candidate views.
 """
 
 from __future__ import annotations
@@ -13,26 +12,15 @@ import random
 import pytest
 
 from repro.core import (
-    BACKEND_BITSET,
-    BACKEND_OBJECT,
     BitsetConflictIndex,
     Fact,
     FactInterner,
     PrioritizingInstance,
     PriorityRelation,
     Schema,
-    resolve_backend,
-)
-from repro.core.backend import (
-    BACKEND_ENV,
-    DEFAULT_BITSET_THRESHOLD,
-    THRESHOLD_ENV,
-    bitset_threshold,
-    normalize_backend,
 )
 from repro.core.conflicts import ConflictIndex
 from repro.core.interning import iter_bits, popcount
-from repro.exceptions import UsageError
 from repro.workloads.generators import random_instance_with_conflicts
 from repro.workloads.priorities import random_conflict_priority
 
@@ -254,46 +242,3 @@ def test_bitset_core_is_cached_on_the_prioritizing_instance():
     schema, instance = _abc_instance()
     pri = PrioritizingInstance(schema, instance, PriorityRelation())
     assert pri.bitset_core is pri.bitset_core
-
-
-# -- backend selector ----------------------------------------------------------------
-
-
-def test_normalize_backend():
-    assert normalize_backend(" BitSet ") == "bitset"
-    with pytest.raises(UsageError):
-        normalize_backend("simd")
-
-
-def test_resolve_backend_precedence(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    monkeypatch.delenv(THRESHOLD_ENV, raising=False)
-    # auto: threshold decides
-    assert resolve_backend(DEFAULT_BITSET_THRESHOLD - 1) == BACKEND_OBJECT
-    assert resolve_backend(DEFAULT_BITSET_THRESHOLD) == BACKEND_BITSET
-    # env overrides auto
-    monkeypatch.setenv(BACKEND_ENV, "bitset")
-    assert resolve_backend(1) == BACKEND_BITSET
-    monkeypatch.setenv(BACKEND_ENV, "object")
-    assert resolve_backend(10**6) == BACKEND_OBJECT
-    # explicit argument overrides env
-    assert resolve_backend(1, override="bitset") == BACKEND_BITSET
-    monkeypatch.setenv(BACKEND_ENV, "auto")
-    assert resolve_backend(1) == BACKEND_OBJECT
-
-
-def test_resolve_backend_threshold_env(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    monkeypatch.setenv(THRESHOLD_ENV, "5")
-    assert bitset_threshold() == 5
-    assert resolve_backend(5) == BACKEND_BITSET
-    assert resolve_backend(4) == BACKEND_OBJECT
-    monkeypatch.setenv(THRESHOLD_ENV, "not-a-number")
-    with pytest.raises(UsageError):
-        bitset_threshold()
-
-
-def test_resolve_backend_rejects_bad_env(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "simd")
-    with pytest.raises(UsageError):
-        resolve_backend(10)

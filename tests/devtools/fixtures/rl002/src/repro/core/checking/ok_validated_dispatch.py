@@ -1,12 +1,17 @@
 """RL002 near-miss set: validation, delegation, and private helpers."""
 
-from repro.core.checking.validation import precheck
+from repro.core.checking.validation import precheck, precheck_bitset
 from repro.exceptions import NotASubinstanceError
 
 
 def check_with_precheck(prioritizing, candidate):
     precheck(prioritizing, candidate)
     return _check_kernel(prioritizing, candidate)
+
+
+def check_with_bitset_precheck(prioritizing, candidate):
+    failure, _ = precheck_bitset(prioritizing, candidate, "global", "m")
+    return failure or _check_kernel(prioritizing, candidate)
 
 
 def check_with_manual_guard(prioritizing, candidate):

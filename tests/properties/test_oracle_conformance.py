@@ -286,134 +286,70 @@ def test_not_a_subinstance_raises_on_both_sides():
         check_globally_optimal(prioritizing, outside)
 
 
-# -- backend equivalence: object vs bitset, both held to the oracle ------------------
+# -- the backend-parity seeds, held to the oracle ------------------------------------
 #
-# The columnar bitset backend must decide every case exactly as the
-# object backend does — and both must match the definitional oracle.
-# Each quota test below counts >= CASES_PER_CHECKER generated
-# (problem, candidate) cases through *both* backends.
-
-
-def _conform_backends(
-    make_checker, semantics, schema_builder, arity, seed, ccp=False
-):
-    """Drive both backends against each other and the oracle."""
-    rng = random.Random(seed)
-    schema = schema_builder()
-    object_checker = make_checker("object")
-    bitset_checker = make_checker("bitset")
-    cases = 0
-    trials = 0
-    while cases < CASES_PER_CHECKER:
-        trials += 1
-        assert trials < 500, "generator failed to reach the case quota"
-        prioritizing = _random_problem(rng, schema, arity, ccp=ccp)
-        if prioritizing is None:
-            continue
-        for candidate in _all_subsets(prioritizing):
-            expected = oracle_check(prioritizing, candidate, semantics)
-            via_object = bool(object_checker(prioritizing, candidate))
-            via_bitset = bool(bitset_checker(prioritizing, candidate))
-            context = (
-                sorted(map(str, prioritizing.instance)),
-                sorted(
-                    (str(a), str(b))
-                    for a, b in prioritizing.priority.edges
-                ),
-                sorted(map(str, candidate)),
-                semantics,
-                via_object,
-                via_bitset,
-                expected,
-            )
-            assert via_object == via_bitset, context
-            assert via_object == expected, context
-            cases += 1
-    assert cases >= CASES_PER_CHECKER
+# These (checker, schema, seed, ccp) cases once compared two executions
+# of each checker; with one execution left they count
+# >= CASES_PER_CHECKER cases against the oracle alone, adding fresh
+# seeds to every quota above (pareto and completion on the hard schema
+# and the dispatcher on ccp instances included).
 
 
 def test_single_fd_backends_agree():
-    witness = equivalent_single_fd(single_fd_schema().fds_for("R"))
-
-    def make(backend):
-        return lambda pri, cand: check_single_fd(
-            pri, cand, witness, backend=backend
-        )
-
-    _conform_backends(make, "global", single_fd_schema, 2, seed=1101)
+    _conform(_single_fd_checker(), "global", single_fd_schema, 2, seed=1101)
 
 
 def test_two_keys_backends_agree():
-    key1, key2 = equivalent_two_keys(two_keys_schema().fds_for("R"))
-
-    def make(backend):
-        return lambda pri, cand: check_two_keys(
-            pri, cand, key1, key2, backend=backend
-        )
-
-    _conform_backends(make, "global", two_keys_schema, 2, seed=1202)
+    _conform(_two_keys_checker(), "global", two_keys_schema, 2, seed=1202)
 
 
 def test_pareto_backends_agree():
-    def make(backend):
-        return lambda pri, cand: check_pareto_optimal(
-            pri, cand, backend=backend
-        )
-
-    _conform_backends(make, "pareto", single_fd_schema, 2, seed=1808)
-    _conform_backends(make, "pareto", hard_schema, 3, seed=1809)
+    _conform(check_pareto_optimal, "pareto", single_fd_schema, 2, seed=1808)
+    _conform(check_pareto_optimal, "pareto", hard_schema, 3, seed=1809)
 
 
 def test_completion_backends_agree():
-    def make(backend):
-        return lambda pri, cand: check_completion_optimal(
-            pri, cand, backend=backend
-        )
-
-    _conform_backends(make, "completion", two_keys_schema, 2, seed=1909)
-    _conform_backends(make, "completion", hard_schema, 3, seed=1910)
+    _conform(
+        check_completion_optimal, "completion", two_keys_schema, 2, seed=1909
+    )
+    _conform(
+        check_completion_optimal, "completion", hard_schema, 3, seed=1910
+    )
 
 
 def test_improvement_search_backends_agree():
-    def make(backend):
-        return lambda pri, cand: check_globally_optimal_search(
-            pri, cand, backend=backend
-        )
-
-    _conform_backends(make, "global", hard_schema, 3, seed=1707)
+    _conform(
+        check_globally_optimal_search, "global", hard_schema, 3, seed=1707
+    )
 
 
 def test_dispatcher_backends_agree():
-    def make(backend):
-        return lambda pri, cand: check_globally_optimal(
-            pri, cand, backend=backend
-        )
-
-    _conform_backends(make, "global", single_fd_schema, 2, seed=1303)
-    _conform_backends(make, "global", two_keys_schema, 2, seed=1304)
-    _conform_backends(
-        make, "global", single_fd_schema, 2, seed=1505, ccp=True
+    _conform(check_globally_optimal, "global", single_fd_schema, 2, seed=1303)
+    _conform(check_globally_optimal, "global", two_keys_schema, 2, seed=1304)
+    _conform(
+        check_globally_optimal, "global", single_fd_schema, 2,
+        seed=1505, ccp=True,
     )
 
 
 @settings(max_examples=25, deadline=None)
 @given(rows(2, max_rows=MAX_FACTS), st.integers(min_value=0, max_value=10))
 def test_hypothesis_backend_equivalence_tractable(data, seed):
-    """Free-form fuzz: both backends decide every subset identically
-    for every semantics on the tractable side."""
+    """Free-form fuzz: every semantics' checker decides every subset
+    exactly as the definitional oracle does, on the tractable side."""
     schema = two_keys_schema()
     instance = make_instance(schema, data)
     priority = random_conflict_priority(schema, instance, seed=seed)
     prioritizing = PrioritizingInstance(schema, instance, priority)
     for candidate in _all_subsets(prioritizing):
-        for checker in (
-            check_globally_optimal,
-            check_pareto_optimal,
-            check_completion_optimal,
+        for checker, semantics in (
+            (check_globally_optimal, "global"),
+            (check_pareto_optimal, "pareto"),
+            (check_completion_optimal, "completion"),
         ):
-            assert bool(
-                checker(prioritizing, candidate, backend="object")
-            ) == bool(checker(prioritizing, candidate, backend="bitset"))
+            assert bool(checker(prioritizing, candidate)) == oracle_check(
+                prioritizing, candidate, semantics
+            )
 
 
 @settings(max_examples=15, deadline=None)
@@ -425,25 +361,20 @@ def test_hypothesis_backend_equivalence_hard_side(data, seed):
     prioritizing = PrioritizingInstance(schema, instance, priority)
     for candidate in enumerate_repairs(schema, instance):
         assert bool(
-            check_globally_optimal_search(
-                prioritizing, candidate, backend="object"
-            )
-        ) == bool(
-            check_globally_optimal_search(
-                prioritizing, candidate, backend="bitset"
-            )
-        )
+            check_globally_optimal_search(prioritizing, candidate)
+        ) == oracle_check(prioritizing, candidate, "global")
 
 
 def test_not_a_subinstance_raises_on_both_backends():
+    # The Pareto checker's own precheck (not the dispatcher's hoisted
+    # guard) must reject a candidate with facts outside the instance.
     schema = single_fd_schema()
     f, g = Fact("R", (1, "a")), Fact("R", (1, "b"))
     stray = Fact("R", (9, "z"))
     prioritizing = make_pri(schema, [f, g], [(f, g)])
     outside = schema.instance([f, stray])
-    for backend in ("object", "bitset"):
-        with pytest.raises(NotASubinstanceError):
-            check_pareto_optimal(prioritizing, outside, backend=backend)
+    with pytest.raises(NotASubinstanceError):
+        check_pareto_optimal(prioritizing, outside)
 
 
 def test_oracle_repair_enumeration_matches_checkers():

@@ -1,34 +1,32 @@
-"""Backend invariance at the service layer.
+"""Cache-key and verdict invariance at the service layer.
 
-The core backend (``object`` vs ``bitset``) changes constant factors,
-never answers, so it is deliberately excluded from job fingerprints:
-cache entries written by one backend must be served to the other.
-These tests pin that contract — cache keys match across backends, a
-warm cache transfers between differently-configured services, verdicts
-agree, and the env/config override plumbing reaches the workers.
+Job fingerprints are a function of the request alone — never of how the
+service that computes the answer is configured — so cache and store
+entries are shared across execution backends (serial, thread, or
+process executor, any worker count).  These tests pin that contract:
+cache keys match across services, a warm cache transfers between
+differently-configured services, verdicts match the definitional oracle
+and the brute-force checker, and check jobs round-trip through the
+process executor.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import Fact
-from repro.core.backend import BACKEND_ENV, THRESHOLD_ENV
-from repro.core.checking import check_pareto_optimal
-from repro.exceptions import UsageError
+from repro.core.checking import check_globally_optimal_brute_force
 from repro.service.cache import LRUCache
 from repro.service.fingerprint import fingerprint_check_request
 from repro.service.jobs import RepairJob
 from repro.service.service import RepairService, ServiceConfig
+from repro.testing import oracle_check
 
 from tests.helpers import hard_problem
 
 
-def _service(core_backend, cache=None, **fields):
+def _service(executor="serial", cache=None, **fields):
     return RepairService(
-        ServiceConfig(
-            executor="serial", core_backend=core_backend, **fields
-        ),
+        ServiceConfig(executor=executor, **fields),
         cache=cache,
         sleep=lambda _seconds: None,
     )
@@ -56,20 +54,18 @@ class TestCacheKeysAreBackendInvariant:
 
     def test_cache_keys_match_across_services(self, simple_problem):
         jobs = _jobs(simple_problem)
-        object_service = _service("object")
-        bitset_service = _service("bitset")
+        serial = _service()
+        pooled = _service("process", workers=2, cache_size=16)
         for job in jobs:
-            assert object_service._cache_key(job) == (
-                bitset_service._cache_key(job)
-            )
+            assert serial._cache_key(job) == pooled._cache_key(job)
 
     def test_warm_cache_transfers_between_backends(self, simple_problem):
-        # A cache populated by the object backend must serve hits to a
-        # bitset-configured service (and the reissued verdicts agree).
+        # A cache populated by a serial service must serve hits to a
+        # thread-pool service (and the reissued verdicts agree).
         jobs = _jobs(simple_problem)
         shared = LRUCache(128)
-        cold = _service("object", cache=shared).run_batch(jobs)
-        warm = _service("bitset", cache=shared).run_batch(jobs)
+        cold = _service(cache=shared).run_batch(jobs)
+        warm = _service("thread", cache=shared, workers=2).run_batch(jobs)
         assert not any(result.cache_hit for result in cold.results)
         assert all(result.cache_hit for result in warm.results)
         for before, after in zip(cold.results, warm.results):
@@ -85,11 +81,10 @@ class TestVerdictParity:
             RepairJob("good", prioritizing, optimal, semantics=semantics),
             RepairJob("bad", prioritizing, non_optimal, semantics=semantics),
         ]
-        via_object = _service("object").run_batch(jobs)
-        via_bitset = _service("bitset").run_batch(jobs)
+        report = _service().run_batch(jobs)
         for job in jobs:
-            assert via_object.by_id(job.job_id).is_optimal == (
-                via_bitset.by_id(job.job_id).is_optimal
+            assert report.by_id(job.job_id).is_optimal == oracle_check(
+                prioritizing, job.candidate, semantics
             )
 
     def test_hard_problem_search_verdicts_agree(self):
@@ -97,63 +92,20 @@ class TestVerdictParity:
             n_facts=24, conflict_rate=0.8, seed=5
         )
         jobs = [RepairJob("hard", prioritizing, candidate, method="search")]
-        via_object = _service("object").run_batch(jobs)
-        via_bitset = _service("bitset").run_batch(jobs)
-        assert via_object.by_id("hard").is_optimal == (
-            via_bitset.by_id("hard").is_optimal
+        report = _service().run_batch(jobs)
+        assert report.by_id("hard").status == "ok"
+        assert report.by_id("hard").is_optimal == bool(
+            check_globally_optimal_brute_force(prioritizing, candidate)
         )
-        assert via_object.by_id("hard").status == "ok"
 
-    def test_process_executor_ships_backend_to_workers(
-        self, simple_problem
-    ):
-        # The configured backend travels via a picklable partial runner.
+    def test_process_executor_round_trip(self, simple_problem):
+        # Check jobs pickle out to pool workers and their verdicts
+        # pickle back unchanged.
         prioritizing, optimal, non_optimal = simple_problem
         jobs = [
             RepairJob("good", prioritizing, optimal),
             RepairJob("bad", prioritizing, non_optimal),
         ]
-        report = RepairService(
-            ServiceConfig(
-                executor="process", workers=2, core_backend="bitset"
-            ),
-            sleep=lambda _seconds: None,
-        ).run_batch(jobs)
+        report = _service("process", workers=2).run_batch(jobs)
         assert report.by_id("good").is_optimal is True
         assert report.by_id("bad").is_optimal is False
-
-
-class TestOverridePlumbing:
-    def test_config_normalizes_backend_name(self):
-        config = ServiceConfig(core_backend=" BitSet ")
-        assert config.core_backend == "bitset"
-        assert ServiceConfig().core_backend is None
-
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(UsageError):
-            ServiceConfig(core_backend="simd")
-
-    def test_env_override_reaches_checkers(self, simple_problem, monkeypatch):
-        # With no explicit backend, checkers consult REPRO_CORE_BACKEND
-        # at call time — the path by which daemon workers (which inherit
-        # the parent environment) pick the backend up.
-        prioritizing, optimal, _ = simple_problem
-        monkeypatch.setenv(BACKEND_ENV, "bitset")
-        assert bool(check_pareto_optimal(prioritizing, optimal))
-        monkeypatch.setenv(BACKEND_ENV, "object")
-        assert bool(check_pareto_optimal(prioritizing, optimal))
-        monkeypatch.setenv(BACKEND_ENV, "simd")
-        with pytest.raises(UsageError):
-            check_pareto_optimal(prioritizing, optimal)
-
-    def test_threshold_env_flips_auto_selection(
-        self, simple_problem, monkeypatch
-    ):
-        # Tiny instances normally run the object backend; a threshold of
-        # zero routes even them through the bitset path, and the verdict
-        # must not move.
-        prioritizing, optimal, non_optimal = simple_problem
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.setenv(THRESHOLD_ENV, "0")
-        assert bool(check_pareto_optimal(prioritizing, optimal))
-        assert not bool(check_pareto_optimal(prioritizing, non_optimal))

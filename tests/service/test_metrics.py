@@ -63,10 +63,24 @@ class TestLatencyHistogram:
     def test_quantile_upper_bound(self):
         hist = LatencyHistogram(buckets=DEFAULT_BUCKETS)
         for _ in range(99):
-            hist.observe(0.0004)
+            hist.observe(0.00015)
         hist.observe(20.0)
-        assert hist.quantile(0.5) == 0.0005
+        assert hist.quantile(0.5) == 0.0002  # the 1-2-5 step above 0.15 ms
         assert hist.quantile(1.0) == 20.0  # max for the overflow bucket
+
+    def test_p99_resolves_millisecond_latencies(self):
+        # 1-5-10 buckets reported this p99 as 5 ms, 4.5x the truth.
+        hist = LatencyHistogram()
+        for _ in range(100):
+            hist.observe(0.0011)
+        assert hist.quantile(0.99) <= 0.002
+
+    def test_quantile_never_exceeds_max(self):
+        hist = LatencyHistogram()
+        for value in (0.0011, 0.0012, 0.0013):
+            hist.observe(value)
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert hist.quantile(q) <= 0.0013
 
     def test_quantile_validation_and_empty(self):
         hist = LatencyHistogram()
