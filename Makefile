@@ -63,12 +63,14 @@ service-bench:
 
 # Resilience drills: the deterministic fault-injection suite (verdict
 # identity under injected crashes/transients/slowdowns across serial,
-# thread, and process executors) plus the kill-and-resume journal tests.
+# thread, and process executors), the durable verdict store and the
+# atomic file writer, plus the kill-and-resume drills on the store.
 chaos:
 	PYTHONPATH=src python -m pytest \
 		tests/service/test_chaos.py \
 		tests/service/test_resilience.py \
-		tests/service/test_journal.py \
+		tests/service/test_store.py \
+		tests/test_fsutil.py \
 		tests/service/test_serve_batch_resume.py -q
 
 # Fleet resilience drills: SIGKILL a worker mid-load with zero verdict

@@ -30,10 +30,10 @@ Subcommands
     :class:`~repro.service.RepairService` (worker pool, result cache,
     budgeted degradation on coNP-hard schemas) and write JSONL results
     plus a metrics summary.  Job files are JSON or CSV (see
-    :mod:`repro.service.batch_io` for the formats).  ``--journal
-    run.wal`` appends every finished deterministic result to a
-    crash-safe write-ahead journal; after an interruption (Ctrl-C or a
-    hard kill), re-running with ``--resume`` replays the journaled
+    :mod:`repro.service.batch_io` for the formats).  ``--store
+    run.sqlite`` writes every finished deterministic result to the
+    durable verdict store; after an interruption (Ctrl-C or a hard
+    kill), re-running with the same ``--store`` serves the stored
     results and recomputes only the rest.  ``--chaos
     "seed=3,transient=0.3,crash=0.1"`` injects a deterministic fault
     schedule (see :mod:`repro.service.faults`) for resilience drills.
@@ -45,8 +45,8 @@ Subcommands
     :mod:`repro.server.protocol`).
     Admission control rejects work beyond ``--max-inflight`` +
     ``--queue-limit`` with explicit ``overloaded`` errors; SIGINT or
-    SIGTERM drains gracefully (in-flight checks finish, the
-    ``--journal`` is flushed, a final metrics snapshot is printed).
+    SIGTERM drains gracefully (in-flight checks finish and reach the
+    ``--store``, a final metrics snapshot is printed).
 ``repro workload generate|inject|check|repair|e2e``
     The TPC-H-scale workload pipeline (:mod:`repro.workloads.tpch`,
     :mod:`repro.workloads.injection`, :mod:`repro.engine.streaming`):
@@ -276,6 +276,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_store(args: argparse.Namespace, stack, command: str):
+    """The ``--store`` verdict store entered on ``stack`` (None without
+    ``--store``); reports on stderr when opening healed a corrupt file."""
+    if not args.store:
+        return None
+    from repro.service import SqliteStore
+
+    store = stack.enter_context(SqliteStore(args.store))
+    if store.healed:
+        print(
+            f"repro {command}: store {args.store} was corrupt; "
+            "quarantined and recreated",
+            file=sys.stderr,
+        )
+    return store
+
+
 def _cmd_serve_batch(args: argparse.Namespace) -> int:
     import contextlib
     import signal
@@ -283,18 +300,13 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
     from repro.io import load_prioritizing_instance
     from repro.service import (
-        JournalWriter,
         RepairService,
         ServiceConfig,
         load_batch_file,
         parse_fault_spec,
-        read_journal,
         write_metrics_json,
         write_results_jsonl,
     )
-
-    if args.resume and not args.journal:
-        raise UsageError("--resume requires --journal")
 
     prioritizing = None
     if args.problem:
@@ -307,33 +319,22 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
         runner = FaultyRunner(plan=parse_fault_spec(args.chaos))
 
-    completed = None
-    if args.resume:
-        completed, corrupt = read_journal(args.journal)
-        print(
-            f"resume: replaying {len(completed)} journaled result(s) "
-            f"from {args.journal}"
-            + (f" ({corrupt} corrupt/torn line(s) skipped)" if corrupt else "")
-        )
-
     cancel = threading.Event()
 
     def _request_shutdown(signum, _frame):
         # First signal: drain gracefully (unstarted jobs become error
-        # results, the journal keeps every finished one).  A second
+        # results, the store keeps every finished one).  A second
         # signal falls through to the default handler.
         cancel.set()
         signal.signal(signum, signal.SIG_DFL)
         print(
             f"received {signal.Signals(signum).name}: finishing in-flight "
-            "jobs and flushing the journal (signal again to force quit)",
+            "jobs (signal again to force quit)",
             file=sys.stderr,
         )
 
     with contextlib.ExitStack() as stack:
-        journal = None
-        if args.journal:
-            journal = stack.enter_context(JournalWriter(args.journal))
+        store = _open_store(args, stack, "serve-batch")
         for signum in (signal.SIGINT, signal.SIGTERM):
             previous = signal.signal(signum, _request_shutdown)
             stack.callback(signal.signal, signum, previous)
@@ -349,10 +350,10 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
                 breaker_reset_seconds=args.breaker_reset,
             ),
             runner=runner,
-            result_sink=journal.append if journal is not None else None,
             cancel=cancel,
+            store=store,
         )
-        report = service.run_batch(jobs, completed=completed)
+        report = service.run_batch(jobs)
     counts = report.status_counts
     print(
         f"ran {len(report.results)} job(s) on {args.workers} "
@@ -370,8 +371,8 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     counters = report.metrics.get("counters", {})
     print(
         "resilience: "
-        f"{counters.get('journal.replayed', 0)} replayed, "
-        f"{counters.get('journal.appended', 0)} journaled, "
+        f"{counters.get('store.hits', 0)} from the store, "
+        f"{counters.get('store.appended', 0)} stored, "
         f"{counters.get('breaker.open', 0)} breaker open(s), "
         f"{counters.get('breaker.fast_fails', 0)} fast-fail(s), "
         f"{counters.get('pool.restarts', 0)} pool restart(s), "
@@ -385,10 +386,11 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         print(f"wrote metrics to {args.metrics_out}")
     print(service.metrics.render())
     if cancel.is_set():
-        if args.journal:
+        if args.store:
             print(
-                "interrupted: journal flushed; re-run with --resume to "
-                "finish the remaining jobs",
+                "interrupted: finished results are in the store; re-run "
+                f"with the same --store {args.store} to finish the "
+                "remaining jobs",
                 file=sys.stderr,
             )
         return 130
@@ -451,12 +453,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import contextlib
 
     from repro.server import RepairServer, ServerConfig
-    from repro.service import (
-        JournalWriter,
-        RepairService,
-        ServiceConfig,
-        parse_fault_spec,
-    )
+    from repro.service import RepairService, ServiceConfig, parse_fault_spec
 
     if args.workers > 1:
         return _cmd_serve_fleet(args)
@@ -468,20 +465,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         runner = FaultyRunner(plan=parse_fault_spec(args.chaos))
 
     with contextlib.ExitStack() as stack:
-        journal = None
-        if args.journal:
-            journal = stack.enter_context(JournalWriter(args.journal))
-        store = None
-        if args.store:
-            from repro.service import SqliteStore
-
-            store = stack.enter_context(SqliteStore(args.store))
-            if store.healed:
-                print(
-                    f"repro serve: store {args.store} was corrupt; "
-                    "quarantined and recreated",
-                    file=sys.stderr,
-                )
+        store = _open_store(args, stack, "serve")
         service = RepairService(
             ServiceConfig(
                 cache_size=args.cache_size,
@@ -491,7 +475,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 breaker_reset_seconds=args.breaker_reset,
             ),
             runner=runner,
-            result_sink=journal.append if journal is not None else None,
             store=store,
         )
         server = RepairServer(
@@ -958,15 +941,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="default improvement-search node budget for coNP-hard jobs",
     )
     serve.add_argument(
-        "--journal",
-        help="append finished results to this crash-safe write-ahead "
-        "journal (fsync per result; survives Ctrl-C and kill -9)",
-    )
-    serve.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed results from --journal and recompute "
-        "only the rest",
+        "--store",
+        help="durable verdict store (WAL-mode sqlite, synced per "
+        "result): finished results survive Ctrl-C and kill -9, and "
+        "re-running with the same store recomputes only the rest",
     )
     serve.add_argument(
         "--chaos",
@@ -1003,8 +981,8 @@ def build_parser() -> argparse.ArgumentParser:
         "speaking newline-delimited JSON (ops: check, repair, count, "
         "classify, ping, stats, drain; see repro.server.protocol).  "
         "Drains gracefully "
-        "on SIGINT/SIGTERM: in-flight jobs finish, the journal is "
-        "flushed, and a final metrics snapshot is printed.",
+        "on SIGINT/SIGTERM: in-flight jobs finish and reach the store, "
+        "and a final metrics snapshot is printed.",
     )
     transport = daemon.add_mutually_exclusive_group(required=True)
     transport.add_argument(
@@ -1050,16 +1028,11 @@ def build_parser() -> argparse.ArgumentParser:
         "checks (requests may override per check)",
     )
     daemon.add_argument(
-        "--journal",
-        help="append finished deterministic results to this crash-safe "
-        "write-ahead journal",
-    )
-    daemon.add_argument(
         "--store",
-        help="persistent result store (WAL-mode sqlite) under the LRU "
-        "cache: cache hits survive daemon restarts and are shared by "
-        "every process opening the same file (a torn store is healed "
-        "on open)",
+        help="durable verdict store (WAL-mode sqlite, synced per "
+        "result) under the LRU cache: cache hits survive daemon "
+        "restarts and are shared by every process opening the same "
+        "file (a torn store is healed on open)",
     )
     daemon.add_argument(
         "--workers",
@@ -1072,7 +1045,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     daemon.add_argument(
         "--state-dir",
-        help="fleet scratch directory for worker sockets, journals, the "
+        help="fleet scratch directory for worker sockets and logs, the "
         "shared store, and the fleet-state snapshot (default: a "
         "temporary directory; implies --workers > 1 layouts)",
     )

@@ -1,23 +1,24 @@
 """RL103 — determinism flow: no hash-order or entropy on fingerprint paths.
 
-The service cache keys on canonical fingerprints, the journal replays
-by content checksum, and the NDJSON protocol promises byte-stable
-responses: the whole amortization story of PRs 1–5 assumes two
-structurally equal problems serialize identically in every process.
-RL003 checks that property *syntactically inside* rendering functions;
-this rule generalizes it to flows — a fingerprint entry point calling,
-three frames down, a helper that iterates a ``set()`` unsorted or
-consults ``id()`` poisons the cache just as surely, and no per-file
-view can see it.
+The service cache and the durable verdict store key on canonical
+fingerprints, the store verifies rows by content checksum, and the
+NDJSON protocol promises byte-stable responses: the whole amortization
+story assumes two structurally equal problems serialize identically in
+every process.  RL003 checks that property *syntactically inside*
+rendering functions; this rule generalizes it to flows — a fingerprint
+entry point calling, three frames down, a helper that iterates a
+``set()`` unsorted or consults ``id()`` poisons the cache just as
+surely, and no per-file view can see it.
 
 Entry points are the deterministic-output surfaces, matched by name so
 fixtures and the real tree agree: ``fingerprint*`` / ``*canonical*`` /
 ``serialize*`` / ``to_json*`` / ``encode_response`` functions, and any
-method of a ``*Journal*`` class.  Sinks are the per-function
-nondeterminism effects of the analysis: ``id()``, module-level
-``random.*`` (seeded ``random.Random(seed)`` instances are exempt),
-``uuid.uuid4``, ``os.urandom``, and ordered traversal of provably
-unordered expressions with no order-restoring consumer.
+method of a ``*SqliteStore*`` class (the durable verdict store).
+Sinks are the per-function nondeterminism effects of the analysis:
+``id()``, module-level ``random.*`` (seeded ``random.Random(seed)``
+instances are exempt), ``uuid.uuid4``, ``os.urandom``, and ordered
+traversal of provably unordered expressions with no order-restoring
+consumer.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = ["DeterminismFlowRule"]
 _ENTRY_NAME = re.compile(
     r"^fingerprint|canonical|^serialize|^to_json|^encode_response$"
 )
-_ENTRY_CLASS = re.compile(r"Journal")
+_ENTRY_CLASS = re.compile(r"SqliteStore")
 
 
 @register
@@ -45,12 +46,12 @@ class DeterminismFlowRule(ProgramRule):
     code = "RL103"
     name = "determinism-flow"
     summary = (
-        "no call path from fingerprint/journal/NDJSON serialization "
+        "no call path from fingerprint/verdict-store/NDJSON serialization "
         "may reach an unsorted-iteration or entropy source"
     )
     rationale = (
         "Canonical fingerprints are the cache identity and the "
-        "journal's replay key; an iteration-order-dependent value "
+        "verdict store's row key; an iteration-order-dependent value "
         "reaching one makes equal problems miss the cache — or "
         "*collide across processes only sometimes*, serving a verdict "
         "computed for a different question."

@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 #: Values crossing the streaming boundary must be JSON scalars — the
-#: same closure the wire protocol and the journal accept.
+#: same closure the wire protocol and the verdict store accept.
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 #: Joins encoded rhs columns into one group expression.  json.dumps

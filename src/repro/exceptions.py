@@ -27,7 +27,6 @@ __all__ = [
     "SearchBudgetExceededError",
     "TransientWorkerError",
     "WorkerCrashError",
-    "JournalCorruptError",
     "QueryError",
     "ProtocolError",
 ]
@@ -180,15 +179,6 @@ class WorkerCrashError(TransientWorkerError):
     raises this instead; deriving from :class:`TransientWorkerError`
     makes the retry loop play the role the pool supervisor plays for
     real crashes.
-    """
-
-
-class JournalCorruptError(ReproError):
-    """A result-journal file is structurally unreadable.
-
-    Individual torn or corrupt lines are *skipped* during replay (a
-    crash mid-append legitimately tears the final line); this error is
-    reserved for journals that cannot be read at all.
     """
 
 

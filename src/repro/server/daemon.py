@@ -33,7 +33,7 @@ Architecture (one asyncio event loop, jobs on a bounded thread pool):
 * **drain** — SIGINT/SIGTERM (or a ``drain`` request) stops accepting,
   lets in-flight jobs finish, flushes responses, closes connections,
   and hands the caller a final metrics snapshot.  The CLI then closes
-  the journal and exits 0.
+  the store and exits 0.
 
 Control operations (``ping``, ``stats``, ``classify``, ``drain``) are
 answered inline on the event loop — they are cheap and must stay

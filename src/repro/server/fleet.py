@@ -8,9 +8,9 @@ the ability to lose a worker mid-search without losing correctness.
 
 * **shard** — N ``repro serve`` daemon *worker processes*, each a full
   single-daemon stack (own event loop,
-  :class:`~repro.server.admission.AdmissionController`, thread pool,
-  write-ahead journal).  Job-bearing requests (``check`` / ``repair`` /
-  ``count``) are routed by a deterministic consistent hash
+  :class:`~repro.server.admission.AdmissionController`, thread pool).
+  Job-bearing requests (``check`` / ``repair`` / ``count``) are routed
+  by a deterministic consistent hash
   (:class:`~repro.server.hashring.HashRing`) of the request's problem
   document, so each worker's parsed-problem and result caches stay hot
   for the problems it owns.
@@ -43,8 +43,8 @@ the ability to lose a worker mid-search without losing correctness.
   for every other one.
 * **drain** — SIGINT/SIGTERM (or a client ``drain``) stops the front
   door, forwards ``drain`` to every worker (each finishes in-flight
-  jobs, flushes its journal, exits 0), reaps the processes, and returns
-  the final fleet snapshot; the supervisor then exits 0.
+  jobs and exits 0), reaps the processes, and returns the final fleet
+  snapshot; the supervisor then exits 0.
 
 Fleet state (worker pids, liveness, restart counts) is snapshotted to
 ``state_dir/fleet-state.json`` through
@@ -112,7 +112,7 @@ class FleetConfig:
     Front-door transport mirrors
     :class:`~repro.server.daemon.ServerConfig`: exactly one of
     ``socket_path`` and ``port`` must be set.  ``state_dir`` holds the
-    per-worker unix sockets, journals, logs, the shared sqlite store,
+    per-worker unix sockets and logs, the shared sqlite store,
     and the fleet-state snapshot; keep it on a short path (unix socket
     paths are length-limited).
 
@@ -214,7 +214,6 @@ class _Worker:
 
     name: str
     socket_path: str
-    journal_path: str
     log_path: str
     proc: Optional[subprocess.Popen] = None
     reader: Optional[asyncio.StreamReader] = None
@@ -266,7 +265,6 @@ class FleetSupervisor:
             name: _Worker(
                 name=name,
                 socket_path=str(state / f"{name}.sock"),
-                journal_path=str(state / f"{name}.wal"),
                 log_path=str(state / f"{name}.log"),
             )
             for name in config.worker_names()
@@ -349,9 +347,9 @@ class FleetSupervisor:
         """Block until drain is requested, then drain the whole fleet.
 
         The front door closes first (no new work), every worker is sent
-        a protocol ``drain`` (it finishes in-flight jobs, flushes its
-        journal, and exits 0), the worker processes are reaped, and the
-        final fleet snapshot is returned.
+        a protocol ``drain`` (it finishes in-flight jobs and exits 0),
+        the worker processes are reaped, and the final fleet snapshot
+        is returned.
         """
         if self._drain_requested is None or self._server is None:
             raise UsageError("fleet is not started")
@@ -429,8 +427,6 @@ class FleetSupervisor:
             "serve",
             "--socket",
             worker.socket_path,
-            "--journal",
-            worker.journal_path,
             "--max-inflight",
             str(self.config.max_inflight),
             "--queue-limit",
@@ -1013,7 +1009,6 @@ class FleetSupervisor:
                     "pid": worker.proc.pid if worker.proc else None,
                     "restarts": worker.restarts,
                     "socket": worker.socket_path,
-                    "journal": worker.journal_path,
                     "breaker": self._breaker.state_of(name),
                 }
                 for name, worker in self.workers.items()

@@ -15,16 +15,15 @@ traffic at batch granularity:
 * :mod:`~repro.service.batch_io` — JSON/CSV job files and JSONL
   results for the ``repro serve-batch`` CLI;
 * :mod:`~repro.service.resilience` /
-  :mod:`~repro.service.journal` /
   :mod:`~repro.service.faults` — the fault-tolerance layer: seeded
   retry jitter, the per-problem circuit breaker, supervised-pool
-  bookkeeping, the crash-safe write-ahead result journal behind
-  ``serve-batch --journal/--resume``, and the deterministic
-  fault-injection harness that tests all of it;
-* :mod:`~repro.service.store` — the persistent content-addressed
-  result store (WAL-mode sqlite, checksummed rows, heal-on-open): the
-  durable cache tier under the LRU, shared across worker processes and
-  surviving their restarts.
+  bookkeeping, and the deterministic fault-injection harness that
+  tests all of it;
+* :mod:`~repro.service.store` — the durable verdict store (WAL-mode
+  sqlite synced on every commit, version-keyed checksummed rows,
+  heal-on-open): the one persistent record of results, under the LRU,
+  shared across worker processes, surviving their restarts, and the
+  thing an interrupted ``serve-batch --store`` run resumes from.
 """
 
 from repro.service.batch_io import (
@@ -59,11 +58,6 @@ from repro.service.jobs import (
     ComputeResult,
     JobResult,
     RepairJob,
-)
-from repro.service.journal import (
-    JOURNALED_STATUSES,
-    JournalWriter,
-    read_journal,
 )
 from repro.service.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.service.policy import (
@@ -118,9 +112,6 @@ __all__ = [
     "CircuitBreaker",
     "PoolSupervisor",
     "unit_interval",
-    "JournalWriter",
-    "read_journal",
-    "JOURNALED_STATUSES",
     "FaultPlan",
     "FaultyRunner",
     "FleetFaultPlan",

@@ -24,9 +24,9 @@ its own pair: a :class:`ComputeJob` asks the service to *construct* an
 optimal repair (``kind="repair"``) or *count* the preferred repairs
 entailing a query (``kind="count"``), and a :class:`ComputeResult`
 carries the answer in a ``payload`` dict.  Compute results share the
-check results' status vocabulary and journal contract (``status``,
-``fingerprint``, ``to_dict()``), so the write-ahead journal and the
-resume path treat both uniformly.
+check results' status vocabulary and store contract (``status``,
+``fingerprint``, ``to_dict()``), so the result cache and the durable
+verdict store treat both uniformly.
 """
 
 from __future__ import annotations
@@ -204,10 +204,10 @@ class ComputeResult:
     ``payload`` carries the kind-specific answer: for ``repair`` jobs
     the constructed repair as a serialized fact list plus the number of
     improvement rounds; for ``count`` jobs the entailing/total counts
-    and the entailment fraction.  The journal-facing surface
-    (``status`` in the journaled vocabulary, a truthy ``fingerprint``,
+    and the entailment fraction.  The store-facing surface
+    (``status`` in the stored vocabulary, a truthy ``fingerprint``,
     ``to_dict()``) matches :class:`JobResult`, so compute results ride
-    the same write-ahead journal and resume machinery.
+    the same cache and durable verdict store.
     """
 
     job_id: str

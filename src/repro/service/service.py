@@ -9,10 +9,12 @@ Pipeline per batch:
 
 1. **Schedule** — jobs are ordered by descending ``priority`` (ties by
    submission order).
-2. **Replay / cache** — each job's canonical fingerprint is looked up
-   first in the caller-supplied ``completed`` map (journal replay on a
-   resumed run) and then in the LRU result cache; hits (including
-   duplicates *within* the batch) never reach a worker.
+2. **Cache / store** — each job's canonical fingerprint is looked up
+   first in the LRU result cache and then in the optional durable
+   verdict store (:mod:`repro.service.store`); hits (including
+   duplicates *within* the batch) never reach a worker.  The store is
+   also how an interrupted batch resumes: re-running it over the same
+   store serves every verdict the first run finished.
 3. **Execute** — misses run on a ``concurrent.futures`` pool
    (``"thread"``, ``"process"``, or in-line ``"serial"``), through the
    degradation policy of :mod:`repro.service.policy`: tractable
@@ -35,8 +37,8 @@ Pipeline per batch:
 5. **Observe** — counters, per-algorithm latency histograms, and a
    structured event log accumulate in a
    :class:`~repro.service.metrics.MetricsRegistry`; every freshly
-   computed result is also offered to the optional ``result_sink``
-   (the write-ahead journal of :mod:`repro.service.journal`).
+   computed deterministic result is also written through to the store
+   (``store.appended``).
 
 Determinism contract: for any fixed batch and ``node_budget``, the
 ``verdict()`` of every result is identical across worker counts,
@@ -101,16 +103,12 @@ from repro.service.resilience import (
     call_runner,
     runner_accepts_attempt,
 )
+from repro.service.store import STORED_STATUSES
 
 __all__ = ["ServiceConfig", "RepairService"]
 
 #: Exceptions the retry loop treats as transient worker failures.
 TRANSIENT_EXCEPTIONS = (TransientWorkerError, OSError)
-
-#: Statuses whose outcomes are deterministic and therefore cacheable.
-#: ``timeout`` depends on the wall clock and ``error`` may reflect a
-#: worker failure, so neither is ever cached.
-_CACHEABLE_STATUSES = frozenset({"ok", "degraded"})
 
 #: Counters pre-registered at service construction so every metrics
 #: snapshot (and ``write_metrics_json`` output) reports them, zero or
@@ -121,8 +119,6 @@ _WELL_KNOWN_COUNTERS = (
     "breaker.fast_fails",
     "pool.restarts",
     "pool.lost_jobs",
-    "journal.replayed",
-    "journal.appended",
     "jobs.cancelled",
 )
 
@@ -268,14 +264,8 @@ class RepairService:
         The monotonic clock used for durations and the circuit breaker
         (injectable for deterministic breaker tests and the chaos
         harness's skewed clocks).
-    result_sink:
-        Called with every freshly *computed* :class:`JobResult` (cache
-        hits and journal replays excluded); the write-ahead journal
-        plugs in here.  A truthy return value counts as a durable
-        append (``journal.appended``); ``OSError`` from the sink is
-        absorbed into ``journal.errors`` rather than failing the batch.
     store:
-        An optional persistent result store (the sqlite tier of
+        An optional durable verdict store (the sqlite tier of
         :mod:`repro.service.store`) consulted *under* the LRU cache: an
         LRU miss falls through to ``store.get(key)``, and a store hit
         warms the LRU and is served without recomputation
@@ -284,7 +274,9 @@ class RepairService:
         the same canonical fingerprints as cache
         keys, a store file shared by many service processes — the
         fleet's workers — shares every answer across them and across
-        restarts.  Store failures degrade the cache, never a verdict.
+        restarts, and a batch re-run over the store of an interrupted
+        run recomputes only what that run did not finish.  Store
+        failures degrade the cache, never a verdict.
     cancel:
         An optional ``threading.Event``; once set, jobs that have not
         started yet finish as ``error`` results (``jobs.cancelled``)
@@ -317,7 +309,6 @@ class RepairService:
         runner: Optional[Callable[..., Outcome]] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
-        result_sink: Optional[Callable[[JobResult], object]] = None,
         cancel: Optional[object] = None,
         compute_runner: Optional[Callable[..., ComputeOutcome]] = None,
         store: Optional[object] = None,
@@ -332,7 +323,6 @@ class RepairService:
         self._runner_takes_attempt = runner_accepts_attempt(self._runner)
         self._sleep = sleep
         self._clock = clock
-        self._result_sink = result_sink
         self._cancel = cancel
         self._retry = RetryPolicy(
             self.config.backoff_base,
@@ -380,10 +370,10 @@ class RepairService:
         :meth:`run_batch` it holds no batch-wide state, so any number of
         threads may call it concurrently against one warm service — the
         result cache, circuit breaker, retry policy, metrics registry,
-        and journal sink are all individually thread-safe.  Each call
+        and store are all individually thread-safe.  Each call
         lands in the same ``jobs.*`` counters and ``latency.*``
         histograms as a batch job, and freshly computed deterministic
-        results feed the same cache and result sink.
+        results feed the same cache and store.
 
         Two concurrent calls asking the same question may both compute
         it (there is no cross-request duplicate barrier — that is batch
@@ -411,7 +401,7 @@ class RepairService:
         The compute analogue of :meth:`run_job`: same cache (compute
         fingerprints live in a disjoint namespace from check
         fingerprints), same circuit breaker and retry policy, same
-        result sink and metrics — so a daemon can serve ``repair`` and
+        store and metrics — so a daemon can serve ``repair`` and
         ``count`` requests with the exact operational guarantees of
         ``check`` requests.  Reentrant for the same reasons
         :meth:`run_job` is.
@@ -433,17 +423,8 @@ class RepairService:
 
     # -- batch execution ------------------------------------------------------------
 
-    def run_batch(
-        self,
-        jobs: Sequence[RepairJob],
-        completed: Optional[Mapping[str, Dict]] = None,
-    ) -> BatchReport:
-        """Run a batch; results come back in submission order.
-
-        ``completed`` maps request fingerprints to already-known result
-        dicts (a replayed journal): matching jobs are served without
-        recomputation and counted under ``journal.replayed``.
-        """
+    def run_batch(self, jobs: Sequence[RepairJob]) -> BatchReport:
+        """Run a batch; results come back in submission order."""
         batch_start = self._clock()
         ordered = sorted(
             enumerate(jobs), key=lambda pair: (-pair[1].priority, pair[0])
@@ -460,19 +441,6 @@ class RepairService:
                 self.metrics.counter("cache.hits").increment()
                 results[position] = self._reissue(cached, job, key)
                 continue
-            if completed is not None:
-                record = completed.get(key)
-                if (
-                    record is not None
-                    and record.get("status") in _CACHEABLE_STATUSES
-                ):
-                    # A resumed run: the journal already answered this
-                    # question.  Warm the cache so in-batch duplicates
-                    # (and later batches) count as plain cache hits.
-                    self.metrics.counter("journal.replayed").increment()
-                    self.cache.put(key, dict(record))
-                    results[position] = self._reissue(record, job, key)
-                    continue
             if key in first_by_key:
                 # An in-batch duplicate: resolved after the first
                 # occurrence executes, without spending a worker on it.
@@ -481,9 +449,10 @@ class RepairService:
                 self.metrics.counter("cache.misses").increment()
                 stored = self._store_lookup(key)
                 if stored is not None:
-                    # The persistent tier already answered this (this
-                    # process, an earlier incarnation, or a fleet peer);
-                    # the lookup warmed the LRU for in-batch duplicates.
+                    # The durable tier already answered this (this
+                    # process, an interrupted earlier run, or a fleet
+                    # peer); the lookup warmed the LRU for in-batch
+                    # duplicates.
                     results[position] = self._reissue(stored, job, key)
                     continue
                 first_by_key[key] = position
@@ -506,7 +475,7 @@ class RepairService:
                 first = results[first_by_key[key]]
                 results[position] = self._reissue(
                     first.to_dict(), job, key, from_cache=first.status
-                    in _CACHEABLE_STATUSES
+                    in STORED_STATUSES
                 )
 
         ordered_results = [results[position] for position in range(len(jobs))]
@@ -734,20 +703,9 @@ class RepairService:
             duration=duration,
             fingerprint=key,
         )
-        if outcome.status in _CACHEABLE_STATUSES:
+        if outcome.status in STORED_STATUSES:
             self.cache.put(key, result.to_dict())
             self._store_put(key, result.to_dict())
-        if self._result_sink is not None:
-            try:
-                if self._result_sink(result):
-                    self.metrics.counter("journal.appended").increment()
-            except OSError as exc:
-                # A failing sink (disk full, journal unlinked) must not
-                # take the batch down; the results are still returned.
-                self.metrics.counter("journal.errors").increment()
-                self.metrics.record_event(
-                    "journal_error", job_id=job.job_id, error=str(exc)
-                )
         self.metrics.histogram(f"latency.{outcome.method}").observe(duration)
         if outcome.status == "degraded":
             self.metrics.counter("jobs.degraded_routed").increment()
@@ -902,18 +860,9 @@ class RepairService:
             duration=duration,
             fingerprint=key,
         )
-        if outcome.status in _CACHEABLE_STATUSES:
+        if outcome.status in STORED_STATUSES:
             self.cache.put(key, result.to_dict())
             self._store_put(key, result.to_dict())
-        if self._result_sink is not None:
-            try:
-                if self._result_sink(result):
-                    self.metrics.counter("journal.appended").increment()
-            except OSError as exc:
-                self.metrics.counter("journal.errors").increment()
-                self.metrics.record_event(
-                    "journal_error", job_id=job.job_id, error=str(exc)
-                )
         self.metrics.histogram(f"latency.{outcome.method}").observe(duration)
         if outcome.status == "degraded":
             self.metrics.counter("jobs.degraded_routed").increment()

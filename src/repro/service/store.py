@@ -1,4 +1,4 @@
-"""The persistent content-addressed result store (sqlite tier).
+"""The durable verdict store: the one persistent record of results.
 
 The LRU result cache dies with its process; the motivating fleet
 deployment restarts workers routinely (crashes, rolling restarts,
@@ -7,14 +7,23 @@ hard-side search the worker had already answered.  :class:`SqliteStore`
 is the durable tier *under* the LRU: results keyed by the same
 canonical request fingerprints
 (:mod:`repro.service.fingerprint`), stored in one sqlite file that any
-number of worker processes share.
+number of worker processes share.  It is also how an interrupted
+``serve-batch --store`` run resumes: re-running the batch over the same
+file serves every stored verdict without recomputation.
 
-Durability discipline (mirrors the PR 4 journal):
+Durability discipline:
 
-* **WAL mode** — readers never block the single writer, concurrent
-  worker processes interleave through sqlite's own locking (with a
-  busy timeout), and a torn tail after a hard kill is healed by
-  sqlite's WAL recovery on the next open.
+* **Synced before acknowledged** — the store runs in WAL mode with
+  ``synchronous=FULL``, so the WAL is fsync-ed at every commit: a
+  ``put`` that returns True survives a process kill *and* a power
+  loss.  Readers never block the single writer, concurrent worker
+  processes interleave through sqlite's own locking (with a busy
+  timeout), and a torn WAL tail after a hard kill is dropped by
+  sqlite's WAL recovery on the next open — the lost row is a miss,
+  recomputed on demand.
+* **Versioned keys** — every row key carries :data:`VERDICT_VERSION`,
+  so a verdict written by code whose checkers decided differently is a
+  miss, never served.
 * **Per-row checksums** — every payload row carries its own sha256;
   a row that fails verification on read (bit rot, a writer killed
   mid-page before WAL, manual tampering) is *skipped and dropped*,
@@ -23,13 +32,12 @@ Durability discipline (mirrors the PR 4 journal):
   garbage header) is quarantined by an atomic rename to
   ``<name>.corrupt`` and a fresh store is created in its place: a
   damaged cache must cost recomputation, never availability.
-* **Never on the request path's critical failure edge** — like the
-  journal sink, store errors are absorbed into counters
-  (``store.errors``); a full disk or a locked database degrades the
-  cache, not the verdicts.
+* **Never on the request path's critical failure edge** — store
+  errors are absorbed into counters (``errors``); a full disk or a
+  locked database degrades the cache, not the verdicts.
 
 Only deterministic statuses (``ok``, ``degraded`` — the cacheable set)
-are stored, so a replayed entry is always safe to serve.
+are stored, so a stored entry is always safe to serve.
 
 Examples
 --------
@@ -61,11 +69,23 @@ from typing import Any, Dict, Optional, Union
 
 from repro.exceptions import UsageError
 
-__all__ = ["STORED_STATUSES", "SqliteStore"]
+__all__ = ["STORED_STATUSES", "VERDICT_VERSION", "SqliteStore"]
 
 #: Statuses durable enough to persist: deterministic for fixed inputs
-#: and budget (the same set the LRU cache and the journal accept).
+#: and budget.  ``timeout`` depends on the wall clock and ``error`` may
+#: reflect a worker failure, so neither is ever cached or stored.
 STORED_STATUSES = frozenset({"ok", "degraded"})
+
+#: The version of the code that decides verdicts, mixed into every row
+#: key.  Bump it whenever a checker, search, or construction change can
+#: alter a stored verdict (a fix to a checker's answer is the canonical
+#: case): rows written under any other version then miss and are
+#: recomputed instead of served.
+VERDICT_VERSION = 1
+
+#: Seconds a statement waits on another process's write lock before
+#: giving up (the failed operation is counted, not raised).
+BUSY_TIMEOUT_S = 5.0
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
@@ -80,6 +100,11 @@ def _checksum(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _row_key(key: str) -> str:
+    """The stored row key: the request fingerprint under this version."""
+    return f"v{VERDICT_VERSION}:{key}"
+
+
 class SqliteStore:
     """A durable fingerprint → result-dict store shared across processes.
 
@@ -87,26 +112,16 @@ class SqliteStore:
     threads all funnel through it) and multi-process safe (WAL mode
     plus a busy timeout; each process opens its own connection to the
     same file).  ``get`` returns a *copy* of the stored dict or None;
-    ``put`` returns whether the row was durably written.
+    ``put`` returns whether the row was durably written (synced).
 
     Parameters
     ----------
     path:
         The sqlite file; parent directories must exist.
-    busy_timeout:
-        Seconds a statement waits on another process's write lock
-        before giving up (the failed operation is counted, not raised).
     """
 
-    def __init__(
-        self, path: Union[str, Path], busy_timeout: float = 5.0
-    ) -> None:
-        if busy_timeout < 0:
-            raise UsageError(
-                f"busy_timeout must be >= 0, got {busy_timeout}"
-            )
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._busy_timeout = busy_timeout
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -146,7 +161,7 @@ class SqliteStore:
         healer SIGKILLed mid-heal) rather than spin forever.
         """
         lock = self.path.with_name(self.path.name + ".heal-lock")
-        deadline = time.monotonic() + max(self._busy_timeout, 1.0)
+        deadline = time.monotonic() + BUSY_TIMEOUT_S
         while True:
             try:
                 fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -185,13 +200,13 @@ class SqliteStore:
     def _connect(self) -> sqlite3.Connection:
         connection = sqlite3.connect(
             self.path,
-            timeout=self._busy_timeout,
+            timeout=BUSY_TIMEOUT_S,
             check_same_thread=False,
             isolation_level=None,  # autocommit: one statement, one txn
         )
         try:
             connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=NORMAL")
+            connection.execute("PRAGMA synchronous=FULL")
             connection.execute(_SCHEMA)
         except sqlite3.DatabaseError:
             connection.close()
@@ -232,7 +247,7 @@ class SqliteStore:
                 row = self._connection.execute(
                     "SELECT checksum, payload FROM results "
                     "WHERE fingerprint = ?",
-                    (key,),
+                    (_row_key(key),),
                 ).fetchone()
             except sqlite3.Error:
                 self._errors += 1
@@ -266,7 +281,7 @@ class SqliteStore:
         self._dropped += 1
         try:
             self._connection.execute(
-                "DELETE FROM results WHERE fingerprint = ?", (key,)
+                "DELETE FROM results WHERE fingerprint = ?", (_row_key(key),)
             )
         except sqlite3.Error:
             self._errors += 1
@@ -274,10 +289,12 @@ class SqliteStore:
     def put(self, key: str, result: Dict[str, Any]) -> bool:
         """Durably store one result dict; returns whether it landed.
 
+        True means the row is committed and synced to disk.
         Non-deterministic statuses are refused (returns False) — a
         persisted ``timeout`` would outlive the slow machine that
         produced it.  Write errors (locked database, full disk) are
-        absorbed and counted, mirroring the journal sink's contract.
+        absorbed and counted under ``errors``: the caller still has
+        its verdict, only the durable copy is missing.
         """
         if result.get("status") not in STORED_STATUSES:
             return False
@@ -289,7 +306,7 @@ class SqliteStore:
                 self._connection.execute(
                     "INSERT OR REPLACE INTO results "
                     "(fingerprint, checksum, payload) VALUES (?, ?, ?)",
-                    (key, _checksum(payload), payload),
+                    (_row_key(key), _checksum(payload), payload),
                 )
             except sqlite3.Error:
                 self._errors += 1

@@ -26,8 +26,8 @@ def _token(obj):
     return str(id(obj))
 
 
-class ReplayJournal:
-    def append(self, entry):
+class VerdictSqliteStore:
+    def put(self, entry):
         return _entry_key(entry)
 
 

@@ -6,7 +6,7 @@ constructors on the checking hot path, validated dispatch,
 deterministic output, no mutable defaults, the ReproError hierarchy,
 monotonic deadlines) and whole-program (the ARCHITECTURE DAG, a
 never-blocked event loop, ReproError-only escapes, determinism of the
-fingerprint/journal flows) — holds over ``src/`` right now, with no
+fingerprint/verdict-store flows) — holds over ``src/`` right now, with no
 baseline debt — only explicitly justified inline suppressions.
 """
 

@@ -44,6 +44,31 @@ def subprocess_env() -> Dict[str, str]:
     return env
 
 
+def tear_last_commit(wal: Path) -> None:
+    """Truncate the WAL inside its last commit frame, as a hard kill
+    mid-write would.
+
+    WAL layout: a 32-byte header (page size at bytes 8-12, salts at
+    16-24), then frames of a 24-byte header plus one page; a frame
+    whose header bytes 4-8 are non-zero commits a transaction, and only
+    frames carrying the header's salts belong to the current log.
+    """
+    data = wal.read_bytes()
+    frame_size = 24 + int.from_bytes(data[8:12], "big")
+    salts = data[16:24]
+    last_commit_end = None
+    offset = 32
+    while offset + frame_size <= len(data):
+        header = data[offset:offset + 24]
+        if header[8:16] != salts:
+            break
+        offset += frame_size
+        if int.from_bytes(header[4:8], "big"):
+            last_commit_end = offset
+    assert last_commit_end is not None, "no committed frame in the WAL"
+    os.truncate(wal, last_commit_end - 100)
+
+
 # -- the suite's standard schemas ----------------------------------------------------
 
 

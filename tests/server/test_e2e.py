@@ -22,7 +22,7 @@ from repro.core import Fact, PriorityRelation
 from repro.core.priority import PrioritizingInstance
 from repro.io import prioritizing_from_dict, prioritizing_to_dict
 from repro.server import RepairClient
-from repro.service import RepairJob, RepairService, read_journal
+from repro.service import RepairJob, RepairService, SqliteStore
 from repro.service.batch_io import candidate_from_spec
 
 from tests.helpers import single_fd_schema, subprocess_env, verdict_of
@@ -198,12 +198,12 @@ def test_concurrent_clients_agree_with_run_batch():
 
 
 def test_sigterm_mid_load_drains_and_exits_zero(tmp_path):
-    journal_path = tmp_path / "serve.wal"
+    store_path = tmp_path / "serve.sqlite"
     process = boot_daemon(
         "--chaos",
         "seed=1,slow=1.0,slow-ms=300,max-faults=1",
-        "--journal",
-        str(journal_path),
+        "--store",
+        str(store_path),
     )
     try:
         port = wait_for_port(process)
@@ -230,12 +230,12 @@ def test_sigterm_mid_load_drains_and_exits_zero(tmp_path):
         assert process.returncode == 0, stderr
         assert "drained cleanly" in stdout
         assert "1 accepted" in stdout
-        # The journal was flushed on the way out.
-        journaled, torn = read_journal(journal_path)
-        assert torn == 0
-        assert [
-            record["job_id"] for record in journaled.values()
-        ] == ["inflight"]
+        # The in-flight job's verdict reached the store on the way out.
+        with SqliteStore(store_path) as store:
+            assert len(store) == 1
+            record = store.get(response["result"]["fingerprint"])
+        assert record["job_id"] == "inflight"
+        assert record["is_optimal"] is True
     finally:
         shut_down(process)
 

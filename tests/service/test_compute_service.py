@@ -2,7 +2,7 @@
 
 ``repair`` and ``count`` jobs must get the same operational guarantees
 as checks — result cache (in a disjoint fingerprint namespace), retry
-with backoff, circuit breaker, journaling, cancellation — without an
+with backoff, circuit breaker, the durable store, cancellation — without an
 exception ever escaping ``run_compute``.
 """
 
@@ -15,9 +15,9 @@ from repro.service import (
     ComputeJob,
     RepairService,
     ServiceConfig,
+    SqliteStore,
     fingerprint_check_request,
 )
-from repro.service.journal import JournalWriter, read_journal
 from repro.service.policy import ComputeOutcome
 
 from tests.helpers import single_fd_schema
@@ -222,28 +222,36 @@ class TestRetryAndBreaker:
         assert service.metrics.counter("breaker.fast_fails").value >= 1
 
 
-class TestJournal:
-    def test_compute_results_journal_and_replay(self, problem, tmp_path):
-        path = tmp_path / "compute.journal"
-        with JournalWriter(path) as writer:
-            service = serial_service(result_sink=writer.append)
+class TestStore:
+    def test_compute_results_store_round_trip(self, problem, tmp_path):
+        path = tmp_path / "compute.sqlite"
+        with SqliteStore(path) as store:
+            service = serial_service(store=store)
             repair = service.run_compute(ComputeJob("j1", problem))
             count = service.run_compute(
                 ComputeJob("c1", problem, kind="count", query=QUERY)
             )
-        records, skipped = read_journal(path)
-        assert skipped == 0
-        assert set(records) == {repair.fingerprint, count.fingerprint}
-        assert records[repair.fingerprint]["kind"] == "repair"
-        assert records[count.fingerprint]["kind"] == "count"
-        assert records[repair.fingerprint]["payload"] == repair.payload
-        assert service.metrics.counter("journal.appended").value == 2
+            assert service.metrics.counter("store.appended").value == 2
+        # A fresh service over the reopened store answers both from it.
+        with SqliteStore(path) as store:
+            service = serial_service(store=store)
+            warm_repair = service.run_compute(ComputeJob("j1", problem))
+            warm_count = service.run_compute(
+                ComputeJob("c1", problem, kind="count", query=QUERY)
+            )
+            assert service.metrics.counter("store.hits").value == 2
+        assert warm_repair.cache_hit and warm_count.cache_hit
+        assert (warm_repair.kind, warm_count.kind) == ("repair", "count")
+        assert warm_repair.payload == repair.payload
+        assert warm_count.payload == count.payload
+        assert warm_repair.fingerprint == repair.fingerprint
 
-    def test_error_results_are_not_journaled(self, problem, tmp_path):
-        path = tmp_path / "compute.journal"
-        with JournalWriter(path) as writer:
-            service = serial_service(result_sink=writer.append)
-            service.run_compute(ComputeJob("j1", problem, semantics="bad"))
-        records, skipped = read_journal(path)
-        assert records == {}
-        assert skipped == 0
+    def test_error_results_are_not_stored(self, problem, tmp_path):
+        with SqliteStore(tmp_path / "compute.sqlite") as store:
+            service = serial_service(store=store)
+            result = service.run_compute(
+                ComputeJob("j1", problem, semantics="bad")
+            )
+            assert result.status == "error"
+            assert len(store) == 0
+            assert service.metrics.counter("store.appended").value == 0

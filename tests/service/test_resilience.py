@@ -389,8 +389,7 @@ class TestConfigValidation:
             "breaker.open",
             "breaker.fast_fails",
             "pool.restarts",
-            "journal.replayed",
-            "journal.appended",
+            "pool.lost_jobs",
             "jobs.cancelled",
         ):
             assert name in counters, name

@@ -1,15 +1,16 @@
-"""Kill-and-resume drills for ``repro serve-batch --journal/--resume``.
+"""Kill-and-resume drills for ``repro serve-batch --store``.
 
 Real subprocesses, real signals: a serve-batch run (slowed by the chaos
 harness so the parent can interrupt mid-batch) is stopped with SIGINT
-(graceful drain) or SIGKILL (hard death, no cleanup), and a ``--resume``
-run must replay exactly the journaled results, recompute only the rest,
-and produce the same final JSONL as a never-interrupted run.
+(graceful drain) or SIGKILL (hard death, no cleanup), and a re-run over
+the same store must serve exactly the stored results, recompute only the
+rest, and produce the same final JSONL as a never-interrupted run.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import signal
 import subprocess
 import sys
@@ -21,9 +22,9 @@ import pytest
 from repro.core import Fact, PriorityRelation, Schema
 from repro.core.priority import PrioritizingInstance
 from repro.io import prioritizing_to_dict
-from repro.service import read_journal
+from repro.service import SqliteStore
 
-from tests.helpers import subprocess_env, verdict_projection
+from tests.helpers import subprocess_env, tear_last_commit, verdict_projection
 
 #: Every first attempt sleeps 60 ms: slow enough for the parent to
 #: interrupt mid-batch, fast enough for CI.
@@ -78,31 +79,36 @@ def serve_batch(jobs_file: Path, out: Path, *extra: str) -> subprocess.Popen:
     )
 
 
-def wait_for_journal_lines(path: Path, minimum: int, timeout: float = 30.0):
+def stored_rows(path: Path) -> int:
+    """Rows a fresh opener can read (a short-lived store, closed again)."""
+    with SqliteStore(path) as store:
+        return len(store)
+
+
+def wait_for_rows(path: Path, minimum: int, timeout: float = 30.0) -> None:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        replayed, _ = read_journal(path)
-        if len(replayed) >= minimum:
-            return replayed
+        if path.exists() and stored_rows(path) >= minimum:
+            return
         time.sleep(0.02)
     raise AssertionError(
-        f"journal never reached {minimum} entries within {timeout}s"
+        f"store never reached {minimum} rows within {timeout}s"
     )
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kill_signal", [signal.SIGINT, signal.SIGKILL])
-def test_kill_and_resume_recomputes_only_unjournaled(tmp_path, kill_signal):
+def test_kill_and_resume_recomputes_only_unstored(tmp_path, kill_signal):
     jobs_file = tmp_path / "jobs.json"
     write_jobs_file(jobs_file)
-    wal = tmp_path / "run.wal"
+    db = tmp_path / "run.sqlite"
 
     # --- the run that dies mid-batch -----------------------------------
     interrupted = serve_batch(
-        jobs_file, tmp_path / "interrupted.jsonl", "--journal", str(wal)
+        jobs_file, tmp_path / "interrupted.jsonl", "--store", str(db)
     )
     try:
-        wait_for_journal_lines(wal, minimum=3)
+        wait_for_rows(db, minimum=3)
         interrupted.send_signal(kill_signal)
         stdout, stderr = interrupted.communicate(timeout=60)
     finally:
@@ -110,43 +116,44 @@ def test_kill_and_resume_recomputes_only_unjournaled(tmp_path, kill_signal):
             interrupted.kill()
             interrupted.communicate()
 
-    journaled, torn = read_journal(wal)
-    assert 3 <= len(journaled) < N_JOBS  # died mid-batch, journal survived
     if kill_signal == signal.SIGINT:
         assert interrupted.returncode == 130
-        assert "re-run with --resume" in stderr
+        assert "re-run with the same --store" in stderr
+        stored = stored_rows(db)
     else:
         assert interrupted.returncode == -signal.SIGKILL
+        # Count what the kill left, on a copy (opening the original
+        # would checkpoint its WAL away)...
+        intact = tmp_path / "intact"
+        intact.mkdir()
+        for name in (db.name, f"{db.name}-wal"):
+            shutil.copy(tmp_path / name, intact / name)
+        before_tear = stored_rows(intact / db.name)
+        assert 3 <= before_tear < N_JOBS
+        # ...then tear the last committed frame, the worst case a hard
+        # kill mid-write leaves: WAL recovery must drop exactly that row.
+        tear_last_commit(Path(f"{db}-wal"))
+        stored = stored_rows(db)
+        assert stored == before_tear - 1
+    assert 2 <= stored < N_JOBS  # died mid-batch, the store survived
 
-    if kill_signal == signal.SIGKILL:
-        # A hard kill can tear the final line; simulate the worst case
-        # explicitly so resume always faces a torn tail here.
-        with open(wal, "a") as handle:
-            handle.write("deadbeef {\"torn\":")
-
-    # --- resume ---------------------------------------------------------
+    # --- resume: the same command over the same store -------------------
     resumed_out = tmp_path / "resumed.jsonl"
     metrics_out = tmp_path / "metrics.json"
     resume = serve_batch(
-        jobs_file,
-        resumed_out,
-        "--journal",
-        str(wal),
-        "--resume",
-        "--metrics-out",
-        str(metrics_out),
+        jobs_file, resumed_out, "--store", str(db),
+        "--metrics-out", str(metrics_out),
     )
-    stdout, stderr = resume.communicate(timeout=120)
+    _, stderr = resume.communicate(timeout=120)
     assert resume.returncode == 0, stderr
-    assert f"replaying {len(journaled)} journaled result(s)" in stdout
 
     counters = json.loads(metrics_out.read_text())["counters"]
-    assert counters["journal.replayed"] == len(journaled)
-    # Only the unjournaled jobs were recomputed...
-    assert counters["cache.misses"] == N_JOBS - len(journaled)
-    # ...and they were journaled in turn: the journal now covers the batch.
-    final_journal, _ = read_journal(wal)
-    assert len(final_journal) == N_JOBS
+    assert counters["store.hits"] == stored
+    # Only the unstored jobs were recomputed...
+    assert counters["store.misses"] == N_JOBS - stored
+    # ...and they were stored in turn: the store now covers the batch.
+    assert counters["store.appended"] == N_JOBS - stored
+    assert stored_rows(db) == N_JOBS
 
     # --- equality with a never-interrupted run --------------------------
     reference_out = tmp_path / "reference.jsonl"
